@@ -17,6 +17,8 @@ spanning their union.
 
 from __future__ import annotations
 
+import heapq
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, Iterable
@@ -152,6 +154,47 @@ def partition_by_label(tuples: Iterable[StreamTuple]) -> dict[str, list[StreamTu
     for t in tuples:
         out.setdefault(t.label, []).append(t)
     return out
+
+
+class ExpiryIndex:
+    """Calendar of expiry hints keyed by end value.
+
+    Window ends are slide-aligned, and derived intervals end at mins and
+    maxes of them, so for one ``(size, slide)`` at most ``size/slide + 1``
+    distinct finite ends are live at once.  A dict from end to the items
+    ending there, plus a heap of the distinct ends, pops exactly the
+    expired items: a slide boundary costs O(expired), not O(state).
+
+    Items are hints.  An owner adds one whenever it stores an entry and
+    re-checks its own state before dropping anything, so entries that
+    were deleted, re-emitted or extended since stay correct.
+    """
+
+    __slots__ = ("_slots", "_ends")
+
+    def __init__(self) -> None:
+        self._slots: dict[float, list] = {}
+        self._ends: list[float] = []
+
+    def add(self, end: float, item) -> None:
+        slot = self._slots.get(end)
+        if slot is not None:
+            slot.append(item)
+        elif end != math.inf:
+            self._slots[end] = [item]
+            heapq.heappush(self._ends, end)
+
+    def expired(self, w: float) -> list:
+        """Remove and return every item whose end is <= w, in end order
+        and then insertion order."""
+        out: list = []
+        ends = self._ends
+        while ends and ends[0] <= w:
+            out.extend(self._slots.pop(heapq.heappop(ends)))
+        return out
+
+    def __len__(self) -> int:
+        return sum(len(slot) for slot in self._slots.values())
 
 
 def window_interval(ts: int, size: int, slide: int) -> Interval:

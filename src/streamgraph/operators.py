@@ -18,8 +18,10 @@ intervals, retracting stale ones.  Contributions that fall inside an
 already-advertised interval cause no downstream traffic.
 
 Expiry is handled directly: probes skip and drop entries that can no
-longer intersect new input, and slide-boundary watermarks purge the
-rest.  Expired state vanishes silently, deletions emit negatives.
+longer intersect new input, and every stateful stage files each entry it
+stores in an ``ExpiryIndex`` under the entry's end, so a slide-boundary
+watermark pops and re-checks only what expired instead of walking all
+state.  Expired state vanishes silently, deletions emit negatives.
 """
 
 from __future__ import annotations
@@ -28,7 +30,13 @@ import logging
 from dataclasses import dataclass
 
 from streamgraph.algebra import Comparison, JoinCondition, Pos
-from streamgraph.model import EdgeEvent, Interval, StreamTuple, window_interval
+from streamgraph.model import (
+    EdgeEvent,
+    ExpiryIndex,
+    Interval,
+    StreamTuple,
+    window_interval,
+)
 
 log = logging.getLogger(__name__)
 
@@ -53,11 +61,13 @@ class WindowScan:
         self.size = size
         self.slide = slide
         self.live: dict[int, Interval] = {}
+        self.expiry = ExpiryIndex()
 
     def on_tuple(self, port: int, e: EdgeEvent, now: int) -> list[StreamTuple]:
         if e.sign > 0:
             t = wscan_apply(e, self.size, self.slide)
             self.live[e.uid] = t.interval
+            self.expiry.add(t.interval.end, e.uid)
             return [t]
         iv = self.live.pop(e.ref, None)
         if iv is None:
@@ -71,7 +81,11 @@ class WindowScan:
         ]
 
     def on_watermark(self, w: int) -> None:
-        self.live = {u: iv for u, iv in self.live.items() if iv.end > w}
+        live = self.live
+        for uid in self.expiry.expired(w):
+            iv = live.get(uid)
+            if iv is not None and iv.end <= w:
+                del live[uid]
 
 
 class WindowAssign:
@@ -188,6 +202,9 @@ class CoalesceStage:
         self.op_id = op_id
         self.contribs: dict[tuple, dict[object, tuple[Interval, tuple]]] = {}
         self.advertised: dict[tuple, list[tuple[object, Interval, tuple]]] = {}
+        # every advertised hull ends at some contribution's end, so keys
+        # filed under their contributions' ends cover both tables
+        self.expiry = ExpiryIndex()
         self.counter = 0
 
     def _fresh(self) -> tuple:
@@ -196,10 +213,10 @@ class CoalesceStage:
 
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
         key = t.key
-        per_key = self.contribs.setdefault(key, {})
         if t.sign > 0:
-            per_key[t.origin] = (t.interval, t.payload)
-        elif per_key.pop(t.origin, None) is None:
+            self.contribs.setdefault(key, {})[t.origin] = (t.interval, t.payload)
+            self.expiry.add(t.interval.end, key)
+        elif self.contribs.get(key, {}).pop(t.origin, None) is None:
             log.warning("retraction for unknown contribution %r ignored", t.origin)
             return []
         return self._republish(key)
@@ -232,19 +249,23 @@ class CoalesceStage:
         return out
 
     def on_watermark(self, w: int) -> None:
-        # Expired state disappears without emissions.
-        for key in list(self.contribs):
-            live = {o: e for o, e in self.contribs[key].items() if e[0].end > w}
-            if live:
-                self.contribs[key] = live
-            else:
-                del self.contribs[key]
-        for key in list(self.advertised):
-            live = [e for e in self.advertised[key] if e[1].end > w]
-            if live:
-                self.advertised[key] = live
-            else:
-                del self.advertised[key]
+        # Expired state disappears without emissions; only keys that own
+        # an expired entry are re-filtered.
+        for key in set(self.expiry.expired(w)):
+            per_key = self.contribs.get(key)
+            if per_key is not None:
+                live = {o: e for o, e in per_key.items() if e[0].end > w}
+                if live:
+                    self.contribs[key] = live
+                else:
+                    del self.contribs[key]
+            adverts = self.advertised.get(key)
+            if adverts is not None:
+                live = [e for e in adverts if e[1].end > w]
+                if live:
+                    self.advertised[key] = live
+                else:
+                    del self.advertised[key]
 
 
 def pos_value(tuples: tuple[StreamTuple, ...], pos: Pos):
@@ -290,6 +311,8 @@ class PatternStage:
         self.right: dict[int, dict[tuple, dict[object, StreamTuple]]] = {
             k: {} for k in range(1, n)
         }
+        # one hint (table, key, origin) per stored row or tuple
+        self.expiry = ExpiryIndex()
 
     def _passes_local(self, port: int, t: StreamTuple) -> bool:
         vals = {"src": t.src, "trg": t.trg}
@@ -334,7 +357,9 @@ class PatternStage:
             self._insert_row(1, Row((t,), t.interval, (t.origin,)), now, out)
             return
         key = self._right_key(port, t)
-        self.right[port].setdefault(key, {})[t.origin] = t
+        table = self.right[port]
+        table.setdefault(key, {})[t.origin] = t
+        self.expiry.add(t.interval.end, (table, key, t.origin))
         for row in self._probe_left(port, key, now):
             self._extend(row, t, port, now, out)
 
@@ -343,7 +368,9 @@ class PatternStage:
             out.append(self._project(row, 1))
             return
         key = self._left_key(level, row.tuples)
-        self.left[level].setdefault(key, {})[row.origins] = row
+        table = self.left[level]
+        table.setdefault(key, {})[row.origins] = row
+        self.expiry.add(row.interval.end, (table, key, row.origins))
         for t in self._probe_right(level, key, now):
             self._extend(row, t, level, now, out)
 
@@ -361,7 +388,7 @@ class PatternStage:
             self._delete_row(1, Row((t,), t.interval, (t.origin,)), now, out)
             return
         key = self._right_key(port, t)
-        found = self.right[port].get(key, {}).pop(t.origin, None)
+        found = _discard(self.right[port], key, t.origin)
         if found is None:
             log.warning("join deletion of absent tuple %r ignored", t.origin)
             return
@@ -380,7 +407,7 @@ class PatternStage:
             out.append(self._project(row, -1))
             return
         key = self._left_key(level, row.tuples)
-        stored = self.left[level].get(key, {}).pop(row.origins, None)
+        stored = _discard(self.left[level], key, row.origins)
         if stored is None and level == 1:
             log.warning("join deletion of absent tuple %r ignored", row.origins)
             return
@@ -397,7 +424,8 @@ class PatternStage:
     # Probes drop entries that can no longer match anything new.
 
     def _probe_left(self, level: int, key: tuple, now: int) -> list[Row]:
-        bucket = self.left[level].get(key)
+        table = self.left[level]
+        bucket = table.get(key)
         if not bucket:
             return []
         live, dead = [], []
@@ -405,10 +433,13 @@ class PatternStage:
             (live if row.interval.end > now else dead).append((origins, row))
         for origins, _ in dead:
             del bucket[origins]
+        if not bucket:
+            del table[key]
         return [row for _, row in live]
 
     def _probe_right(self, level: int, key: tuple, now: int) -> list[StreamTuple]:
-        bucket = self.right[level].get(key)
+        table = self.right[level]
+        bucket = table.get(key)
         if not bucket:
             return []
         live, dead = [], []
@@ -416,18 +447,24 @@ class PatternStage:
             (live if t.interval.end > now else dead).append((origin, t))
         for origin, _ in dead:
             del bucket[origin]
+        if not bucket:
+            del table[key]
         return [t for _, t in live]
 
     def on_watermark(self, w: int) -> None:
-        for tables in (self.left, self.right):
-            for level, buckets in tables.items():
-                for key in list(buckets):
-                    bucket = buckets[key]
-                    for o in [o for o, e in bucket.items() if _end_of(e) <= w]:
-                        del bucket[o]
-                    if not bucket:
-                        del buckets[key]
+        for table, key, origin in self.expiry.expired(w):
+            entry = table.get(key, {}).get(origin)
+            if entry is not None and entry.interval.end <= w:
+                _discard(table, key, origin)
 
 
-def _end_of(entry) -> float:
-    return entry.interval.end
+def _discard(table: dict, key: tuple, origin):
+    """Remove one join entry, and its bucket once empty; returns the
+    entry, or None when it was absent."""
+    bucket = table.get(key)
+    if bucket is None:
+        return None
+    entry = bucket.pop(origin, None)
+    if not bucket:
+        del table[key]
+    return entry

@@ -12,8 +12,11 @@ The tree keeps, via parent links, one witness path per node, always a
 widest one.  Edge insertion relaxes the frontier: missing pairs are
 expanded, pairs whose recorded expiry can still grow are re-parented
 onto the better path and re-emitted.  Expired nodes are treated as
-absent wherever they are touched and swept at slide boundaries; both
-paths drop state silently, only explicit deletions retract results.
+absent wherever they are touched.  At slide boundaries, two calendar
+indexes (``ExpiryIndex``, keyed by end value) hand back exactly the tree
+nodes and adjacency edges filed under an end the watermark has passed,
+so the sweep costs O(expired), not O(state).  Both paths drop state
+silently, only explicit deletions retract results.
 
 Deleting a tree edge severs a subtree.  The subtree is recomputed with
 a widest-expiry first search seeded from the intact remainder of the
@@ -29,7 +32,7 @@ import logging
 from dataclasses import dataclass, field
 
 from streamgraph.automata import Dfa
-from streamgraph.model import Interval, StreamTuple
+from streamgraph.model import ExpiryIndex, Interval, StreamTuple
 
 log = logging.getLogger(__name__)
 
@@ -84,8 +87,10 @@ class PathStage:
         self.trees: dict[str, SpanningTree] = {}
         self.inverted: dict[Pair, set[str]] = {}
         self.usage: dict[object, set[tuple[str, Pair]]] = {}
-        self._node_heap: list[tuple[float, int, str, Pair]] = []
-        self._adj_heap: list[tuple[float, int, str, str, object]] = []
+        # expiry hints: (root, pair) per node expiry, (label, src, origin)
+        # per adjacency edge
+        self.node_expiry = ExpiryIndex()
+        self.adj_expiry = ExpiryIndex()
         self._seq = 0
 
     # Bookkeeping helpers keep nodes, the pair index and the tree-edge
@@ -101,14 +106,17 @@ class PathStage:
         if node.parent is not None:
             tree.nodes[node.parent].children.add(node.pair)
             self.usage.setdefault(node.via.origin, set()).add((tree.root, node.pair))
-        heapq.heappush(self._node_heap, (node.exp, self._tick(), tree.root, node.pair))
+        self.node_expiry.add(node.exp, (tree.root, node.pair))
 
     def _set_parent(
         self, tree: SpanningTree, node: TreeNode, parent: Pair, via: StreamTuple
     ) -> None:
-        old_parent = tree.nodes.get(node.parent) if node.parent else None
-        if old_parent is not None:
-            old_parent.children.discard(node.pair)
+        if node.parent is not None:
+            # the old parent may already be gone (removed earlier in the
+            # same repair); the tree-edge usage entry must go regardless
+            old_parent = tree.nodes.get(node.parent)
+            if old_parent is not None:
+                old_parent.children.discard(node.pair)
             self._drop_usage(node.via.origin, tree.root, node.pair)
         node.parent = parent
         node.via = via
@@ -189,9 +197,7 @@ class PathStage:
             return []
         bucket = self.adj.setdefault(t.label, {}).setdefault(t.src, {})
         bucket[t.origin] = t
-        heapq.heappush(
-            self._adj_heap, (t.exp, self._tick(), t.label, t.src, t.origin)
-        )
+        self.adj_expiry.add(t.exp, (t.label, t.src, t.origin))
         out: list[StreamTuple] = []
         for s, _t2 in self.by_label[t.label]:
             if s == self.dfa.start and t.src not in self.trees:
@@ -237,10 +243,7 @@ class PathStage:
                         self._set_parent(tree, child, pair, e)
                         child.exp = cand_exp
                         child.ts = min(child.ts, cand_ts)
-                        heapq.heappush(
-                            self._node_heap,
-                            (child.exp, self._tick(), tree.root, child_pair),
-                        )
+                        self.node_expiry.add(child.exp, (tree.root, child_pair))
                     else:
                         continue
                     if t2 in self.dfa.accepting and child_pair != tree.root_pair:
@@ -322,7 +325,7 @@ class PathStage:
             self._set_parent(tree, node, parent, e)
             node.ts = ts
             node.exp = exp
-            heapq.heappush(self._node_heap, (exp, self._tick(), tree.root, pair))
+            self.node_expiry.add(exp, (tree.root, pair))
             if accepting and changed:
                 reattached.append(node)
         # Payloads walk parent pointers, so emit only once every settled
@@ -342,12 +345,11 @@ class PathStage:
         del self.trees[tree.root]
 
     # Slide-boundary sweep; drops only state that ended at or before the
-    # watermark, silently.
+    # watermark, silently, in end order and then filing order.
 
     def purge(self, w: int) -> None:
         touched: set[str] = set()
-        while self._node_heap and self._node_heap[0][0] <= w:
-            _, _, root, pair = heapq.heappop(self._node_heap)
+        for root, pair in self.node_expiry.expired(w):
             tree = self.trees.get(root)
             if tree is None:
                 continue
@@ -359,10 +361,9 @@ class PathStage:
             tree = self.trees.get(root)
             if tree is not None and len(tree.nodes) == 1:
                 self._remove_tree(tree)
-        while self._adj_heap and self._adj_heap[0][0] <= w:
-            _, _, lab, src, origin = heapq.heappop(self._adj_heap)
-            per_src = self.adj.get(lab, {})
-            bucket = per_src.get(src)
+        for lab, src, origin in self.adj_expiry.expired(w):
+            per_src = self.adj.get(lab)
+            bucket = per_src.get(src) if per_src is not None else None
             if bucket is None:
                 continue
             e = bucket.get(origin)
@@ -370,6 +371,8 @@ class PathStage:
                 del bucket[origin]
             if not bucket:
                 del per_src[src]
+                if not per_src:
+                    del self.adj[lab]
 
     # Stage protocol.
 

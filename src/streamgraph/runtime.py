@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from streamgraph import algebra
 from streamgraph.automata import build_dfa
-from streamgraph.model import EdgeEvent, StreamTuple
+from streamgraph.model import EdgeEvent, ExpiryIndex, StreamTuple
 from streamgraph.operators import (
     CoalesceStage,
     FilterStage,
@@ -116,11 +116,13 @@ class PipeNode:
 
 class OutputSink:
     """Terminal stage: keeps the full signed emission log plus the live
-    result set (origin -> latest positive, purged at watermarks)."""
+    result set (origin -> latest positive, purged at watermarks through
+    an expiry index)."""
 
     def __init__(self):
         self.log: list[StreamTuple] = []
         self.live: dict[object, StreamTuple] = {}
+        self.expiry = ExpiryIndex()
         self._lock = threading.Lock()
 
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
@@ -128,13 +130,18 @@ class OutputSink:
             self.log.append(t)
             if t.sign > 0:
                 self.live[t.origin] = t
+                self.expiry.add(t.exp, t.origin)
             else:
                 self.live.pop(t.origin, None)
         return []
 
     def on_watermark(self, w: int) -> None:
         with self._lock:
-            self.live = {o: t for o, t in self.live.items() if t.exp > w}
+            live = self.live
+            for origin in self.expiry.expired(w):
+                t = live.get(origin)
+                if t is not None and t.exp <= w:
+                    del live[origin]
 
     def snapshot(self, t: int) -> set[tuple[str, str, str]]:
         with self._lock:

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streamgraph.model import (
+    ExpiryIndex,
     Interval,
     StreamTuple,
     coalesce,
@@ -136,3 +137,47 @@ def test_window_interval_bounds(ts, size, slide):
     # Expiry lands in (ts, ts + size] and is slide-aligned plus size.
     assert ts < iv.end <= ts + size
     assert (iv.end - size) % slide == 0
+
+
+# expiry calendar
+
+
+def test_expiry_index_pops_exactly_the_expired_items_in_end_then_insertion_order():
+    idx = ExpiryIndex()
+    for end, item in [(20, "a"), (10, "b"), (30, "c"), (10, "d"), (20, "e")]:
+        idx.add(end, item)
+    assert idx.expired(20) == ["b", "d", "a", "e"]
+    assert len(idx) == 1
+    assert idx.expired(20) == []
+    assert idx.expired(30) == ["c"]
+    assert len(idx) == 0
+
+
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers()), max_size=40),
+       st.integers(-5, 35))
+def test_expiry_index_matches_a_sorted_scan(entries, w):
+    idx = ExpiryIndex()
+    for end, item in entries:
+        idx.add(end, item)
+    # a stable sort by end keeps insertion order among equal ends
+    want = [item for end, item in sorted(entries, key=lambda e: e[0]) if end <= w]
+    assert idx.expired(w) == want
+    assert len(idx) == len(entries) - len(want)
+
+
+def test_expiry_index_never_stores_an_infinite_end():
+    idx = ExpiryIndex()
+    idx.add(float("inf"), "forever")
+    idx.add(5, "soon")
+    assert len(idx) == 1
+    assert idx.expired(10 ** 9) == ["soon"]
+    assert idx.expired(float("inf")) == []
+
+
+def test_expiry_index_below_the_smallest_end_is_untouched():
+    idx = ExpiryIndex()
+    idx.add(10, "a")
+    idx.add(15, "b")
+    assert idx.expired(9) == []
+    assert len(idx) == 2
+    assert idx.expired(15) == ["a", "b"]

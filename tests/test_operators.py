@@ -145,6 +145,20 @@ def test_coalesce_drops_expired_state_silently():
     assert [(t.sign, t.ts, t.exp) for t in out] == [(1, 12, 20)]
 
 
+def test_coalesce_watermark_leaves_unexpired_keys_untouched():
+    c = CoalesceStage(1)
+    c.on_tuple(0, sgt("a", "b", "l", 0, 10, origin=1), 0)
+    c.on_tuple(0, sgt("c", "d", "l", 0, 20, origin=2), 0)
+    contribs = c.contribs[("c", "d", "l")]
+    advertised = c.advertised[("c", "d", "l")]
+    c.on_watermark(10)
+    assert list(c.contribs) == [("c", "d", "l")]
+    assert list(c.advertised) == [("c", "d", "l")]
+    # the other key's state is the same objects, not rebuilt
+    assert c.contribs[("c", "d", "l")] is contribs
+    assert c.advertised[("c", "d", "l")] is advertised
+
+
 def test_coalesce_keys_are_independent():
     c = CoalesceStage(1)
     c.on_tuple(0, sgt("a", "b", "l", 0, 10, origin=1), 0)
@@ -277,6 +291,17 @@ def test_join_delete_retracts_every_prior_match():
     assert sorted((t.sign, t.src, t.trg) for t in outs) == [(1, "q", "d")]
 
 
+def test_join_delete_leaves_no_empty_bucket_even_without_expiry():
+    j = PatternStage(2, chain_condition(2), "J")
+    inf = float("inf")
+    j.on_tuple(0, sgt("a", "b", "l", 0, inf, origin=1), 0)
+    j.on_tuple(1, sgt("b", "c", "m", 1, inf, origin=2), 1)
+    j.on_tuple(0, sgt("a", "b", "l", 0, inf, origin=1, sign=-1), 2)
+    j.on_tuple(1, sgt("b", "c", "m", 1, inf, origin=2, sign=-1), 3)
+    assert j.left[1] == {} and j.right[1] == {}
+    assert len(j.expiry) == 0
+
+
 def test_join_delete_of_absent_tuple_is_noop():
     j = PatternStage(2, chain_condition(2), "J")
     assert j.on_tuple(1, sgt("b", "c", "m", 2, 10, origin=9, sign=-1), 2) == []
@@ -337,6 +362,26 @@ def test_join_watermark_purges_only_expired_state():
     j.on_watermark(5)
     rows = [r for bucket in j.left[1].values() for r in bucket.values()]
     assert [r.origins for r in rows] == [(2,)]
+
+
+class _UnwalkableBucket(dict):
+    """A join bucket that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("watermark walked an unexpired bucket")
+
+    items = values = keys = __iter__
+
+
+def test_join_watermark_leaves_unexpired_keys_untouched():
+    j = PatternStage(2, chain_condition(2), "J")
+    j.on_tuple(0, sgt("a", "b", "l", 0, 5, origin=1), 0)
+    j.on_tuple(0, sgt("a", "c", "l", 0, 9, origin=2), 0)
+    kept = j.left[1][("c",)] = _UnwalkableBucket(j.left[1][("c",)])
+    j.on_watermark(5)
+    assert list(j.left[1].keys()) == [("c",)]
+    assert j.left[1][("c",)] is kept
+    assert len(kept) == 1
 
 
 @st.composite
