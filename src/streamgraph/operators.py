@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from operator import attrgetter
 
 from streamgraph.algebra import Comparison, JoinCondition, Pos
 from streamgraph.model import (
@@ -195,7 +196,9 @@ class CoalesceStage:
     Contributions are tracked per upstream origin; re-emission with the
     same origin replaces the old interval, a negative drops it.  The
     merged intervals are diffed against what was previously advertised,
-    and only the difference is emitted (retract, then replace).
+    and only the difference is emitted (retract, then replace).  A key
+    with at most one contribution and one advertisement, by far the
+    common case, skips the merge: the two are compared directly.
     """
 
     def __init__(self, op_id: int):
@@ -222,12 +225,34 @@ class CoalesceStage:
         return self._republish(key)
 
     def _republish(self, key: tuple) -> list[StreamTuple]:
-        merged = merge_contributions(list(self.contribs.get(key, {}).values()))
-        old = self.advertised.get(key, [])
-        wanted = {(iv, payload) for iv, payload in merged}
-        out: list[StreamTuple] = []
-        kept = []
+        per_key = self.contribs.get(key)
+        if not per_key:
+            self.contribs.pop(key, None)
+            per_key = {}
+        old = self.advertised.get(key, ())
         src, trg, label = key
+        if len(old) <= 1 and len(per_key) <= 1:
+            # A lone contribution is its own merge: diff it against the
+            # lone advertisement directly.
+            want = next(iter(per_key.values())) if per_key else None
+            out: list[StreamTuple] = []
+            if old:
+                origin, iv, payload = old[0]
+                if want == (iv, payload):
+                    return out
+                out.append(StreamTuple(src, trg, label, iv, payload, -1, origin=origin))
+            if want is None:
+                self.advertised.pop(key, None)
+            else:
+                iv, payload = want
+                origin = self._fresh()
+                self.advertised[key] = [(origin, iv, payload)]
+                out.append(StreamTuple(src, trg, label, iv, payload, 1, origin=origin))
+            return out
+        merged = merge_contributions(list(per_key.values()))
+        wanted = {(iv, payload) for iv, payload in merged}
+        out = []
+        kept = []
         for origin, iv, payload in old:
             if (iv, payload) in wanted:
                 wanted.discard((iv, payload))
@@ -244,8 +269,6 @@ class CoalesceStage:
             self.advertised[key] = kept
         else:
             self.advertised.pop(key, None)
-        if not self.contribs.get(key):
-            self.contribs.pop(key, None)
         return out
 
     def on_watermark(self, w: int) -> None:
@@ -304,6 +327,10 @@ class PatternStage:
             else:
                 lo, hi = (a, b) if a.atom < b.atom else (b, a)
                 self.level_eqs[hi.atom].append((lo, hi.field))
+        self.right_key = {
+            level: _fields_getter([f for _, f in eqs])
+            for level, eqs in self.level_eqs.items()
+        }
         # left[k]: rows over inputs 0..k-1; right[k]: tuples of input k
         self.left: dict[int, dict[tuple, dict[tuple, Row]]] = {
             k: {} for k in range(1, n)
@@ -315,15 +342,13 @@ class PatternStage:
         self.expiry = ExpiryIndex()
 
     def _passes_local(self, port: int, t: StreamTuple) -> bool:
-        vals = {"src": t.src, "trg": t.trg}
-        return all(vals[a] == vals[b] for a, b in self.local.get(port, ()))
+        for a, b in self.local.get(port, ()):
+            if getattr(t, a) != getattr(t, b):
+                return False
+        return True
 
     def _left_key(self, level: int, tuples: tuple[StreamTuple, ...]) -> tuple:
         return tuple(pos_value(tuples, pos) for pos, _ in self.level_eqs[level])
-
-    def _right_key(self, level: int, t: StreamTuple) -> tuple:
-        vals = {"src": t.src, "trg": t.trg}
-        return tuple(vals[f] for _, f in self.level_eqs[level])
 
     def _project(self, row: Row, sign: int) -> StreamTuple:
         payload = tuple(p for t in row.tuples for p in t.payload)
@@ -356,7 +381,7 @@ class PatternStage:
         if port == 0:
             self._insert_row(1, Row((t,), t.interval, (t.origin,)), now, out)
             return
-        key = self._right_key(port, t)
+        key = self.right_key[port](t)
         table = self.right[port]
         table.setdefault(key, {})[t.origin] = t
         self.expiry.add(t.interval.end, (table, key, t.origin))
@@ -387,7 +412,7 @@ class PatternStage:
         if port == 0:
             self._delete_row(1, Row((t,), t.interval, (t.origin,)), now, out)
             return
-        key = self._right_key(port, t)
+        key = self.right_key[port](t)
         found = _discard(self.right[port], key, t.origin)
         if found is None:
             log.warning("join deletion of absent tuple %r ignored", t.origin)
@@ -456,6 +481,14 @@ class PatternStage:
             entry = table.get(key, {}).get(origin)
             if entry is not None and entry.interval.end <= w:
                 _discard(table, key, origin)
+
+
+def _fields_getter(fields: list[str]):
+    """Function from a tuple to the tuple of the named fields' values."""
+    if len(fields) == 1:
+        get = attrgetter(fields[0])
+        return lambda t: (get(t),)
+    return attrgetter(*fields) if fields else lambda t: ()
 
 
 def _discard(table: dict, key: tuple, origin):

@@ -9,20 +9,27 @@ its edges are: its interval starts at the latest edge start and ends at
 the earliest edge expiry.  Nodes in accepting states are results.
 
 The tree keeps, via parent links, one witness path per node, always a
-widest one.  Edge insertion relaxes the frontier: missing pairs are
-expanded, pairs whose recorded expiry can still grow are re-parented
-onto the better path and re-emitted.  Expired nodes are treated as
-absent wherever they are touched.  At slide boundaries, two calendar
-indexes (``ExpiryIndex``, keyed by end value) hand back exactly the tree
-nodes and adjacency edges filed under an end the watermark has passed,
-so the sweep costs O(expired), not O(state).  Both paths drop state
-silently, only explicit deletions retract results.
+widest one.  Every live node n and live edge e out of it satisfy
+child.exp >= min(n.exp, e.exp), so an insertion relaxes only the new
+edge, from each node (src, s) it leaves, through the transition its
+label takes from s.  A child that is missing is added; one whose
+recorded expiry grows is re-parented onto the better path; either is
+re-emitted and then expanded over all of its out-edges, and so on down.
+Expired nodes are treated as absent wherever they are touched, and
+expired edges are skipped where they are met: both linger until the
+next slide boundary, where two calendar indexes (``ExpiryIndex``, keyed
+by end value) hand back exactly the tree nodes and adjacency edges filed
+under an end the watermark has passed, so the sweep costs O(expired),
+not O(state).  Expiry drops state silently; only explicit deletions
+retract results.
 
-Deleting a tree edge severs a subtree.  The subtree is recomputed with
-a widest-expiry first search seeded from the intact remainder of the
-tree (largest expiry first, ties by smaller start, then vertex, then
-state).  Reattached nodes keep their identity; unreachable nodes are
-removed and, when accepting, retracted.
+Deleting a tree edge severs a subtree.  A node reached over edge e sits
+at (e.trg, the state e's label leads to), so the pair index finds every
+tree that uses e.  The subtree is recomputed with a widest-expiry first
+search seeded from the intact remainder of the tree (largest expiry
+first, ties by smaller start, then vertex, then state).  Reattached
+nodes keep their identity; unreachable nodes are removed and, when
+accepting, retracted.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ log = logging.getLogger(__name__)
 Pair = tuple[str, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     vertex: str
     state: int
@@ -57,14 +64,10 @@ class TreeNode:
 class SpanningTree:
     def __init__(self, root: str, start_state: int):
         self.root = root
-        self.start_state = start_state
+        self.root_pair: Pair = (root, start_state)
         self.nodes: dict[Pair, TreeNode] = {
-            (root, start_state): TreeNode(root, start_state, float("-inf"), float("inf"))
+            self.root_pair: TreeNode(root, start_state, float("-inf"), float("inf"))
         }
-
-    @property
-    def root_pair(self) -> Pair:
-        return (self.root, self.start_state)
 
 
 class PathStage:
@@ -85,16 +88,16 @@ class PathStage:
         # adjacency over the automaton alphabet: label -> src -> origin -> sgt
         self.adj: dict[str, dict[str, dict[object, StreamTuple]]] = {}
         self.trees: dict[str, SpanningTree] = {}
-        self.inverted: dict[Pair, set[str]] = {}
-        self.usage: dict[object, set[tuple[str, Pair]]] = {}
+        # pair -> roots of the trees holding it, in insertion order, so
+        # that relaxation order never follows string hashing
+        self.inverted: dict[Pair, dict[str, None]] = {}
         # expiry hints: (root, pair) per node expiry, (label, src, origin)
         # per adjacency edge
         self.node_expiry = ExpiryIndex()
         self.adj_expiry = ExpiryIndex()
         self._seq = 0
 
-    # Bookkeeping helpers keep nodes, the pair index and the tree-edge
-    # usage index in lockstep.
+    # Bookkeeping helpers keep nodes and the pair index in lockstep.
 
     def _tick(self) -> int:
         self._seq += 1
@@ -102,10 +105,9 @@ class PathStage:
 
     def _add_node(self, tree: SpanningTree, node: TreeNode) -> None:
         tree.nodes[node.pair] = node
-        self.inverted.setdefault(node.pair, set()).add(tree.root)
+        self.inverted.setdefault(node.pair, {})[tree.root] = None
         if node.parent is not None:
             tree.nodes[node.parent].children.add(node.pair)
-            self.usage.setdefault(node.via.origin, set()).add((tree.root, node.pair))
         self.node_expiry.add(node.exp, (tree.root, node.pair))
 
     def _set_parent(
@@ -113,22 +115,13 @@ class PathStage:
     ) -> None:
         if node.parent is not None:
             # the old parent may already be gone (removed earlier in the
-            # same repair); the tree-edge usage entry must go regardless
+            # same repair)
             old_parent = tree.nodes.get(node.parent)
             if old_parent is not None:
                 old_parent.children.discard(node.pair)
-            self._drop_usage(node.via.origin, tree.root, node.pair)
         node.parent = parent
         node.via = via
         tree.nodes[parent].children.add(node.pair)
-        self.usage.setdefault(via.origin, set()).add((tree.root, node.pair))
-
-    def _drop_usage(self, origin, root: str, pair: Pair) -> None:
-        entry = self.usage.get(origin)
-        if entry is not None:
-            entry.discard((root, pair))
-            if not entry:
-                del self.usage[origin]
 
     def _remove_node(self, tree: SpanningTree, pair: Pair) -> None:
         node = tree.nodes.pop(pair, None)
@@ -138,10 +131,9 @@ class PathStage:
             parent = tree.nodes.get(node.parent)
             if parent is not None:
                 parent.children.discard(pair)
-            self._drop_usage(node.via.origin, tree.root, pair)
         roots = self.inverted.get(pair)
         if roots is not None:
-            roots.discard(tree.root)
+            roots.pop(tree.root, None)
             if not roots:
                 del self.inverted[pair]
 
@@ -180,17 +172,8 @@ class PathStage:
             origin=("p", self.op_id, tree.root, node.vertex, node.state),
         )
 
-    def _live_out_edges(self, vertex: str, lab: str, now: int) -> list[StreamTuple]:
-        bucket = self.adj.get(lab, {}).get(vertex)
-        if not bucket:
-            return []
-        dead = [o for o, e in bucket.items() if e.exp <= now]
-        for o in dead:
-            del bucket[o]
-        return list(bucket.values())
-
-    # Insertion: relax the widest-path frontier from every tree node the
-    # new edge can extend.
+    # Insertion: relax the new edge from every tree node it can extend;
+    # only nodes whose interval grows are expanded further.
 
     def insert(self, t: StreamTuple, now: int) -> list[StreamTuple]:
         if t.label not in self.by_label:
@@ -199,10 +182,10 @@ class PathStage:
         bucket[t.origin] = t
         self.adj_expiry.add(t.exp, (t.label, t.src, t.origin))
         out: list[StreamTuple] = []
-        for s, _t2 in self.by_label[t.label]:
+        for s, t2 in self.by_label[t.label]:
             if s == self.dfa.start and t.src not in self.trees:
                 self.trees[t.src] = SpanningTree(t.src, self.dfa.start)
-                self.inverted.setdefault((t.src, s), set()).add(t.src)
+                self.inverted.setdefault((t.src, s), {})[t.src] = None
             for root in list(self.inverted.get((t.src, s), ())):
                 tree = self.trees.get(root)
                 if tree is None:
@@ -213,42 +196,58 @@ class PathStage:
                 if node.exp <= now:
                     self._drop_subtree(tree, node.pair)
                     continue
-                self._relax(tree, [node.pair], now, out)
+                self._relax(tree, node, t, t2, now, out)
         return out
 
-    def _relax(self, tree: SpanningTree, seeds: list[Pair], now: int, out) -> None:
-        stack = list(seeds)
+    def _relax(
+        self, tree: SpanningTree, node: TreeNode, t: StreamTuple, t2: int,
+        now: int, out,
+    ) -> None:
+        """Offer edge t out of a live node, then expand every node whose
+        interval grows over all of its out-edges.  The other edges out of
+        a node whose interval did not grow are no-ops: live nodes keep
+        child.exp >= min(node.exp, e.exp) for every live edge e."""
+        stack: list[Pair] = []
+        self._offer(tree, node, t, t2, now, out, stack)
+        adj = self.adj
         while stack:
-            pair = stack.pop()
-            node = tree.nodes.get(pair)
+            node = tree.nodes.get(stack.pop())
             if node is None or node.exp <= now:
                 continue
             for lab, t2 in self.out_trans.get(node.state, ()):
-                for e in self._live_out_edges(node.vertex, lab, now):
-                    child_pair = (e.trg, t2)
-                    cand_exp = min(node.exp, e.exp)
-                    cand_ts = max(node.ts, e.ts)
-                    if cand_exp <= now:
-                        continue
-                    child = tree.nodes.get(child_pair)
-                    if child is not None and child.exp <= now:
-                        self._drop_subtree(tree, child_pair)
-                        child = None
-                    if child is None:
-                        child = TreeNode(
-                            e.trg, t2, cand_ts, cand_exp, parent=pair, via=e
-                        )
-                        self._add_node(tree, child)
-                    elif child.exp < cand_exp:
-                        self._set_parent(tree, child, pair, e)
-                        child.exp = cand_exp
-                        child.ts = min(child.ts, cand_ts)
-                        self.node_expiry.add(child.exp, (tree.root, child_pair))
-                    else:
-                        continue
-                    if t2 in self.dfa.accepting and child_pair != tree.root_pair:
-                        out.append(self._result(tree, child, 1))
-                    stack.append(child_pair)
+                bucket = adj.get(lab, {}).get(node.vertex)
+                if bucket:
+                    for e in bucket.values():
+                        self._offer(tree, node, e, t2, now, out, stack)
+
+    def _offer(
+        self, tree: SpanningTree, node: TreeNode, e: StreamTuple, t2: int,
+        now: int, out, stack: list[Pair],
+    ) -> None:
+        """Relax edge e out of a live node; the child it reaches is pushed
+        onto the stack when its interval grew."""
+        cand_exp = min(node.exp, e.exp)
+        if cand_exp <= now:
+            return
+        cand_ts = max(node.ts, e.ts)
+        child_pair = (e.trg, t2)
+        child = tree.nodes.get(child_pair)
+        if child is not None and child.exp <= now:
+            self._drop_subtree(tree, child_pair)
+            child = None
+        if child is None:
+            child = TreeNode(e.trg, t2, cand_ts, cand_exp, parent=node.pair, via=e)
+            self._add_node(tree, child)
+        elif child.exp < cand_exp:
+            self._set_parent(tree, child, node.pair, e)
+            child.exp = cand_exp
+            child.ts = min(child.ts, cand_ts)
+            self.node_expiry.add(child.exp, (tree.root, child_pair))
+        else:
+            return
+        if t2 in self.dfa.accepting and child_pair != tree.root_pair:
+            out.append(self._result(tree, child, 1))
+        stack.append(child_pair)
 
     # Deletion: non-tree edges only leave the adjacency; tree edges sever
     # a subtree that is then reattached by a widest-expiry search.
@@ -259,8 +258,16 @@ class PathStage:
             if t.label in self.by_label:
                 log.warning("deletion of unknown path edge %r ignored", t.origin)
             return []
+        # a node reached over t sits at (t.trg, a state t's label leads to)
+        severed = []
+        for t2 in {t2 for _s, t2 in self.by_label[t.label]}:
+            pair = (t.trg, t2)
+            for root in self.inverted.get(pair, ()):
+                via = self.trees[root].nodes[pair].via
+                if via is not None and via.origin == t.origin:
+                    severed.append((root, pair))
         out: list[StreamTuple] = []
-        for root, pair in sorted(self.usage.pop(t.origin, ())):
+        for root, pair in sorted(severed):
             tree = self.trees.get(root)
             if tree is None:
                 continue
@@ -285,7 +292,7 @@ class PathStage:
 
         def relax_from(pair: Pair, state: int, vertex: str, ts: float, exp: float):
             for lab, t2 in self.out_trans.get(state, ()):
-                for e in self._live_out_edges(vertex, lab, now):
+                for e in self.adj.get(lab, {}).get(vertex, {}).values():
                     child = (e.trg, t2)
                     if child not in marked or child in settled:
                         continue
@@ -339,7 +346,7 @@ class PathStage:
     def _remove_tree(self, tree: SpanningTree) -> None:
         roots = self.inverted.get(tree.root_pair)
         if roots is not None:
-            roots.discard(tree.root)
+            roots.pop(tree.root, None)
             if not roots:
                 del self.inverted[tree.root_pair]
         del self.trees[tree.root]

@@ -6,9 +6,10 @@ evaluator over the eight catalog query shapes, the widest-expiry tree
 invariant against exhaustive path enumeration, equivalence of direct
 expiry and synthesized expiry-deletions, explicit-deletion fuzzing,
 plan-rewrite soundness, automaton correctness, a desk-scale performance
-budget, set semantics of every coalesced stream, and that all operator
-state drains once every tuple has expired.  Time budgets are asserted
-inside the tests that carry one.
+budget, set semantics of every coalesced stream, that all operator
+state drains once every tuple has expired, and reproducible outputs
+(independent of the string-hash seed, and pinned per catalog shape).
+Time budgets are asserted inside the tests that carry one.
 
 A module-wide hook (autouse fixture) patches the coalescing stage and
 the output sink so that every test here also asserts that no two live
@@ -19,14 +20,19 @@ advertised state or output.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import streamgraph
 from streamgraph import algebra, operators, runtime
 from streamgraph.automata import Alt, Concat, Opt, Plus, Star, Sym, build_dfa, parse_regex
 from streamgraph.cli import main as cli_main
@@ -35,7 +41,7 @@ from streamgraph.oracle import answer_pairs, eval_query_at, widest_validity
 from streamgraph.pathop import PathStage
 from streamgraph.query import parse_query, to_plan
 from streamgraph.runtime import compile_plan, net_results, run_stream
-from streamgraph.streams import generate_synthetic, write_edge_stream
+from streamgraph.streams import format_result, generate_synthetic, write_edge_stream
 
 INF = float("inf")
 
@@ -444,6 +450,34 @@ def test_insert_delete_fuzz_matches_from_scratch_oracle():
         run_stream(pipe, events, instants=list(range(len(events))), on_instant=at)
 
 
+def test_mid_slide_expiry_fuzz_matches_from_scratch_oracle():
+    """A window that is not a multiple of its slide ends edges between
+    watermarks, so dead adjacency entries linger until the next purge
+    and some deletions retract already-ended edges; trees and results
+    still match the oracle at every instant."""
+    lingered = 0
+    for seed_shift, name in enumerate(("closure", "step_closure",
+                                       "chain_closure", "siblings_closure")):
+        events = _fuzz_events(seed=600 + seed_shift, ops=600, vertices=6)
+        q = parse_query(TABLE_QUERIES[name], window=7, slide=3)
+        pipe = compile_plan(to_plan(q))
+        stages = [n.stage for n in pipe.nodes if isinstance(n.stage, PathStage)]
+
+        def at(t):
+            nonlocal lingered
+            got = {(s, d) for s, d, _ in pipe.sink.snapshot(t)}
+            want = answer_pairs(eval_query_at(q, events, t))
+            assert got == want, (name, t, got - want, want - got)
+            for st in stages:
+                _check_tree_attachment(st, t)
+                lingered += any(e.exp <= t for per_src in st.adj.values()
+                                for bucket in per_src.values()
+                                for e in bucket.values())
+
+        run_stream(pipe, events, instants=list(range(len(events))), on_instant=at)
+    assert lingered > 0
+
+
 # -------------------------------------- 6. plan-rewrite soundness
 
 
@@ -642,7 +676,7 @@ def _held_state(stage) -> dict[str, int]:
                   "expiry": len(stage.expiry)}
     elif isinstance(stage, PathStage):
         tables = {"trees": len(stage.trees), "inverted": len(stage.inverted),
-                  "usage": len(stage.usage), "adj": len(stage.adj),
+                  "adj": len(stage.adj),
                   "node_expiry": len(stage.node_expiry),
                   "adj_expiry": len(stage.adj_expiry)}
     else:
@@ -664,3 +698,77 @@ def test_all_state_drains_after_the_last_expiry(ops):
         pipe.watermark(10 ** 9)
         held = [(n.label, _held_state(n.stage)) for n in pipe.nodes]
         assert [(label, h) for label, h in held if h] == [], name
+
+
+# ------------------------------------------- 11. reproducible outputs
+
+
+def _log_digest(log) -> str:
+    lines = (f"{format_result(t)} {t.origin!r}" for t in log)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def _net_digest(results) -> str:
+    lines = sorted(format_result(t) for t in results)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+_EMISSION_LOGS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_acceptance import TABLE_QUERIES, _fuzz_events, _log_digest
+from streamgraph.query import parse_query, to_plan
+from streamgraph.runtime import compile_plan, run_stream
+
+events = _fuzz_events(seed=7, ops=3000)
+for name in ("step_closure", "union_closures"):
+    pipe = compile_plan(to_plan(parse_query(TABLE_QUERIES[name], window=40, slide=5)))
+    run_stream(pipe, events)
+    print(name, len(pipe.sink.log), _log_digest(pipe.sink.log))
+"""
+
+
+def test_emission_logs_do_not_depend_on_the_string_hash_seed():
+    """The ordered signed emission log, origins included, is the same
+    under every string-hash seed: no stage lets set or hash order pick
+    the order of its work.  Two shapes with several closures over one
+    source are run in fresh interpreters under three hash seeds."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(streamgraph.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    logs = []
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", _EMISSION_LOGS, here],
+                              env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        logs.append(proc.stdout)
+    assert logs[0].count("\n") == 2
+    assert logs[1] == logs[0] and logs[2] == logs[0]
+
+
+# emission count and net-result digest of every catalog shape over
+# _fuzz_events(seed=7, ops=3000), window 40, slide 5
+PINNED_OUTPUTS = {
+    "closure": (2197, "be6bd51d204e92e7"),
+    "step_closure": (2906, "e936bfbe97c7460b"),
+    "union_closures": (7775, "45c128b630573cb4"),
+    "chain_closure": (891, "61fb2d9c02390313"),
+    "square": (72, "e28442ec16c0d21d"),
+    "guarded_closure": (108, "b1032b94ebfb9385"),
+    "nested_closure": (178, "53ec9bd2cbffaabd"),
+    "siblings_closure": (3809, "e0bda1c91d8dabda"),
+}
+
+
+def test_catalog_outputs_are_pinned():
+    """A speed-up must not change what the engine emits.  When a change
+    alters semantics on purpose (say, what ``*`` means), update these
+    values deliberately in that change and say why."""
+    events = _fuzz_events(seed=7, ops=3000)
+    got = {}
+    for name, text in TABLE_QUERIES.items():
+        pipe = compile_plan(to_plan(parse_query(text, window=40, slide=5)))
+        run_stream(pipe, events)
+        got[name] = (len(pipe.sink.log), _net_digest(pipe.sink.results()))
+    assert got == PINNED_OUTPUTS

@@ -8,6 +8,7 @@ merged interval sets.
 from __future__ import annotations
 
 import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,6 +208,72 @@ def test_coalesce_stage_net_matches_batch_merge(entries, order):
                 live.pop(o.origin)
     want = {iv for iv, _ in merge_contributions(seq)}
     assert {t.interval for t in live.values()} == want
+
+
+def reference_republish(contribs, advertised):
+    """The diff of one key, written from merge_contributions alone:
+    retract each advertisement the merge no longer holds, in advertised
+    order, then advertise each new group, in merged order.  Returns the
+    emissions as (sign, interval, payload) and the new advertisements."""
+    merged = merge_contributions(list(contribs.values()))
+    out, kept, wanted = [], [], list(merged)
+    for entry in advertised:
+        if entry in wanted:
+            wanted.remove(entry)
+            kept.append(entry)
+        else:
+            out.append((-1, *entry))
+    for entry in merged:
+        if entry in wanted:
+            wanted.remove(entry)
+            kept.append(entry)
+            out.append((1, *entry))
+    return out, sorted(kept)
+
+
+def test_coalesce_single_key_matches_reference_republish():
+    """Random re-emissions, retractions and watermarks over one key with
+    0-3 contributors, so both the lone-contributor diff and the general
+    merge run; every step emits what the reference emits, and each
+    negative cancels the live advertisement it names."""
+    key = ("a", "b", "l")
+    for trial in range(200):
+        rng = random.Random(trial)
+        c = CoalesceStage(1)
+        contribs, advertised, live = {}, [], {}
+        w = 0
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.1:
+                w += rng.randint(1, 4)
+                c.on_watermark(w)
+                contribs = {o: e for o, e in contribs.items() if e[0].end > w}
+                advertised = [e for e in advertised if e[0].end > w]
+                live = {o: e for o, e in live.items() if e[0].end > w}
+                continue
+            if roll < 0.4 and contribs:
+                origin = rng.choice(sorted(contribs))
+                del contribs[origin]
+                iv, payload = Interval(w, w + 1), ()  # ignored by a negative
+                sign = -1
+            else:
+                origin = rng.choice([o for o in range(3) if len(contribs) < 3
+                                     or o in contribs])
+                start = w + rng.randint(0, 6)
+                iv = Interval(start, start + rng.randint(1, 5))
+                payload = (rng.choice("pq"),)
+                contribs[origin] = (iv, payload)
+                sign = 1
+            t = StreamTuple(*key, iv, payload, sign, origin=origin)
+            got = c.on_tuple(0, t, w)
+            want, advertised = reference_republish(contribs, advertised)
+            assert [(o.sign, o.interval, o.payload) for o in got] == want, trial
+            for o in got:
+                if o.sign > 0:
+                    live[o.origin] = (o.interval, o.payload)
+                else:
+                    assert live.pop(o.origin) == (o.interval, o.payload)
+            assert sorted(live.values()) == advertised
 
 
 # pattern join
