@@ -13,6 +13,14 @@ contains ``t``.  Two tuples are value-equivalent when they agree on
 ``(src, trg, label)``; set semantics are restored by coalescing
 value-equivalent tuples with overlapping or adjacent intervals into one tuple
 spanning their union.
+
+Every tuple on the per-event path builds one or more of these records, so
+they are slotted rather than dataclasses: ``Interval`` is a ``tuple``
+subclass, whose equality, hashing and ``(start, end)`` ordering run in C, and
+``EdgeEvent`` and ``StreamTuple`` are plain classes with ``__slots__`` whose
+equality and hashing are spelled out.  Records are immutable by convention,
+not enforced: no stage mutates a record after creating it, because later
+stages, tables and output logs share it.
 """
 
 from __future__ import annotations
@@ -20,22 +28,30 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable
 
 Triple = tuple[str, str, str]  # (src, label, trg)
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """Half-open validity interval [start, end); end may be math.inf."""
+class Interval(tuple):
+    """Half-open validity interval [start, end); end may be math.inf.
 
-    start: int
-    end: float
+    As a tuple it equals, hashes and sorts like ``(start, end)``.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.start < self.end:
-            raise ValueError(f"empty interval [{self.start}, {self.end})")
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: float) -> Interval:
+        if not start < end:
+            raise ValueError(f"empty interval [{start}, {end})")
+        return tuple.__new__(cls, (start, end))
+
+    start = property(itemgetter(0))
+    end = property(itemgetter(1))
+
+    def __repr__(self) -> str:
+        return f"Interval(start={self[0]!r}, end={self[1]!r})"
 
     def contains(self, t: int) -> bool:
         return self.start <= t < self.end
@@ -52,33 +68,89 @@ class Interval:
         return Interval(min(self.start, other.start), max(self.end, other.end))
 
 
-@dataclass(frozen=True)
-class EdgeEvent:
+class _Record:
+    """Equality, hashing and repr for a slotted record, over the values
+    its ``_fields`` returns; records of different classes never compare
+    equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class EdgeEvent(_Record):
     """One line of an input edge stream.
 
     ``uid`` is the event's position in the stream and doubles as its lineage
     id.  A deletion (``sign == -1``) carries the uid of the insertion it
-    undoes in ``ref``; its own ``ts`` is the deletion time.
+    undoes in ``ref``; its own ``ts`` is the deletion time.  Events compare
+    and hash on all of their fields.
     """
 
-    src: str
-    trg: str
-    label: str
-    ts: int
-    sign: int = 1
-    uid: int = 0
-    ref: int | None = None
+    __slots__ = ("src", "trg", "label", "ts", "sign", "uid", "ref")
+
+    def __init__(
+        self,
+        src: str,
+        trg: str,
+        label: str,
+        ts: int,
+        sign: int = 1,
+        uid: int = 0,
+        ref: int | None = None,
+    ) -> None:
+        self.src = src
+        self.trg = trg
+        self.label = label
+        self.ts = ts
+        self.sign = sign
+        self.uid = uid
+        self.ref = ref
+
+    def _fields(self) -> tuple:
+        return (self.src, self.trg, self.label, self.ts, self.sign, self.uid, self.ref)
 
 
-@dataclass(frozen=True)
-class StreamTuple:
-    src: str
-    trg: str
-    label: str
-    interval: Interval
-    payload: tuple[Triple, ...] = ()
-    sign: int = 1
-    origin: Hashable = field(default=None, compare=False)
+class StreamTuple(_Record):
+    """A signed fact ``(src, trg, label)`` valid over ``interval``.
+
+    ``origin`` names the derivation a later retraction must match; it is
+    left out of equality and hashing, so two tuples with the same fact,
+    interval, payload and sign are equal whatever produced them.
+    """
+
+    __slots__ = ("src", "trg", "label", "interval", "payload", "sign", "origin")
+
+    def __init__(
+        self,
+        src: str,
+        trg: str,
+        label: str,
+        interval: Interval,
+        payload: tuple[Triple, ...] = (),
+        sign: int = 1,
+        origin: Hashable = None,
+    ) -> None:
+        self.src = src
+        self.trg = trg
+        self.label = label
+        self.interval = interval
+        self.payload = payload
+        self.sign = sign
+        self.origin = origin
+
+    def _fields(self) -> tuple:
+        return (self.src, self.trg, self.label, self.interval, self.payload, self.sign)
 
     @property
     def key(self) -> Triple:
@@ -93,16 +165,15 @@ class StreamTuple:
         return self.interval.end
 
     def negated(self) -> StreamTuple:
-        return replace(self, sign=-self.sign)
+        return StreamTuple(
+            self.src, self.trg, self.label, self.interval, self.payload,
+            -self.sign, self.origin,
+        )
 
 
 def intern_name(name: str) -> str:
     """Intern vertex/label names so tuple keys hash and compare fast."""
     return sys.intern(name)
-
-
-def value_equivalent(a: StreamTuple, b: StreamTuple) -> bool:
-    return a.key == b.key
 
 
 def _default_agg(tuples: list[StreamTuple]) -> tuple[Triple, ...]:
@@ -147,13 +218,6 @@ def coalesce(
 def snapshot(tuples: Iterable[StreamTuple], t: int) -> list[StreamTuple]:
     """Tuples of a (positive) stream whose validity interval contains t."""
     return [x for x in tuples if x.interval.contains(t)]
-
-
-def partition_by_label(tuples: Iterable[StreamTuple]) -> dict[str, list[StreamTuple]]:
-    out: dict[str, list[StreamTuple]] = {}
-    for t in tuples:
-        out.setdefault(t.label, []).append(t)
-    return out
 
 
 class ExpiryIndex:

@@ -27,7 +27,6 @@ state.  Expired state vanishes silently, deletions emit negatives.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from operator import attrgetter
 
 from streamgraph.algebra import Comparison, JoinCondition, Pos
@@ -296,13 +295,17 @@ def pos_value(tuples: tuple[StreamTuple, ...], pos: Pos):
     return t.src if pos.field == "src" else t.trg
 
 
-@dataclass(frozen=True)
 class Row:
     """A partial join result: one tuple per already-joined input."""
 
-    tuples: tuple[StreamTuple, ...]
-    interval: Interval
-    origins: tuple
+    __slots__ = ("tuples", "interval", "origins")
+
+    def __init__(
+        self, tuples: tuple[StreamTuple, ...], interval: Interval, origins: tuple
+    ) -> None:
+        self.tuples = tuples
+        self.interval = interval
+        self.origins = origins
 
 
 class PatternStage:

@@ -253,11 +253,15 @@ class PathStage:
     # a subtree that is then reattached by a widest-expiry search.
 
     def delete(self, t: StreamTuple, now: int) -> list[StreamTuple]:
-        bucket = self.adj.get(t.label, {}).get(t.src)
+        per_src = self.adj.get(t.label, {})
+        bucket = per_src.get(t.src)
         if bucket is None or bucket.pop(t.origin, None) is None:
             if t.label in self.by_label:
                 log.warning("deletion of unknown path edge %r ignored", t.origin)
             return []
+        # unwindowed edges are never filed for expiry, so no purge would
+        # come back for an emptied bucket
+        self._drop_if_empty(t.label, per_src, t.src)
         # a node reached over t sits at (t.trg, a state t's label leads to)
         severed = []
         for t2 in {t2 for _s, t2 in self.by_label[t.label]}:
@@ -376,10 +380,14 @@ class PathStage:
             e = bucket.get(origin)
             if e is not None and e.exp <= w:
                 del bucket[origin]
-            if not bucket:
-                del per_src[src]
-                if not per_src:
-                    del self.adj[lab]
+            self._drop_if_empty(lab, per_src, src)
+
+    def _drop_if_empty(self, label: str, per_src: dict, src: str) -> None:
+        """Drop an adjacency bucket once empty, and its label's dict too."""
+        if not per_src[src]:
+            del per_src[src]
+            if not per_src:
+                del self.adj[label]
 
     # Stage protocol.
 

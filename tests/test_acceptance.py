@@ -676,7 +676,7 @@ def _held_state(stage) -> dict[str, int]:
                   "expiry": len(stage.expiry)}
     elif isinstance(stage, PathStage):
         tables = {"trees": len(stage.trees), "inverted": len(stage.inverted),
-                  "adj": len(stage.adj),
+                  "adj": sum(map(len, stage.adj.values())),
                   "node_expiry": len(stage.node_expiry),
                   "adj_expiry": len(stage.adj_expiry)}
     else:

@@ -5,15 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from streamgraph.model import (
+    EdgeEvent,
     ExpiryIndex,
     Interval,
     StreamTuple,
     coalesce,
-    partition_by_label,
     snapshot,
-    value_equivalent,
     window_interval,
 )
+from streamgraph.operators import Row
 
 
 def _covered(iv: Interval, horizon: int = 64) -> set[int]:
@@ -41,6 +41,75 @@ def test_intersect_basic():
 intervals = st.tuples(st.integers(0, 40), st.integers(1, 20)).map(
     lambda p: Interval(p[0], p[0] + p[1])
 )
+
+
+# record contract: the value semantics callers rely on, on slotted records
+
+
+@given(intervals, intervals)
+def test_interval_equality_hash_and_order_follow_start_then_end(a, b):
+    pa, pb = (a.start, a.end), (b.start, b.end)
+    assert (a == b) == (pa == pb)
+    assert (a < b) == (pa < pb)
+    assert (a <= b) == (pa <= pb)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert sorted([a, b]) == sorted([a, b], key=lambda iv: (iv.start, iv.end))
+
+
+def test_interval_is_a_start_end_pair():
+    iv = Interval(1, 5)
+    assert iv == (1, 5)
+    assert (iv.start, iv.end) == (1, 5)
+    assert repr(iv) == "Interval(start=1, end=5)"
+    assert repr(Interval(2, float("inf"))) == "Interval(start=2, end=inf)"
+
+
+def test_stream_tuple_equality_and_hash_ignore_origin():
+    a = StreamTuple("u", "v", "a", Interval(0, 5), (("u", "a", "v"),), 1, origin=1)
+    b = StreamTuple("u", "v", "a", Interval(0, 5), (("u", "a", "v"),), 1, origin=2)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    for other in (
+        StreamTuple("u", "w", "a", Interval(0, 5), a.payload, 1),
+        StreamTuple("u", "v", "b", Interval(0, 5), a.payload, 1),
+        StreamTuple("u", "v", "a", Interval(0, 6), a.payload, 1),
+        StreamTuple("u", "v", "a", Interval(0, 5), (), 1),
+        a.negated(),
+    ):
+        assert a != other
+
+
+def test_negated_flips_only_the_sign():
+    t = StreamTuple("u", "v", "a", Interval(3, 9), (("u", "a", "v"),), 1, origin=("o", 7))
+    neg = t.negated()
+    assert neg.sign == -1 and neg.negated().sign == 1
+    assert (neg.src, neg.trg, neg.label) == (t.src, t.trg, t.label)
+    assert neg.interval == t.interval
+    assert neg.payload == t.payload
+    assert neg.origin == t.origin
+
+
+def test_edge_event_equality_covers_every_field():
+    e = EdgeEvent("u", "v", "a", 4, -1, 9, 2)
+    assert e == EdgeEvent("u", "v", "a", 4, -1, 9, 2)
+    assert hash(e) == hash(EdgeEvent("u", "v", "a", 4, sign=-1, uid=9, ref=2))
+    assert EdgeEvent("u", "v", "a", 4) == EdgeEvent("u", "v", "a", 4, 1, 0, None)
+    for i, changed in enumerate(["x", "x", "x", 5, 1, 8, 3]):
+        fields = ["u", "v", "a", 4, -1, 9, 2]
+        fields[i] = changed
+        assert e != EdgeEvent(*fields)
+
+
+@pytest.mark.parametrize("record", [
+    Interval(0, 1),
+    EdgeEvent("u", "v", "a", 0),
+    StreamTuple("u", "v", "a", Interval(0, 1)),
+    Row((), Interval(0, 1), ()),
+], ids=lambda r: type(r).__name__)
+def test_records_are_slotted(record):
+    assert not hasattr(record, "__dict__")
 
 
 @given(intervals, intervals)
@@ -109,14 +178,6 @@ def test_snapshot_and_value_equivalence():
     assert snapshot([a, b], 4) == [a, b]
     assert snapshot([a, b], 6) == [b]
     assert snapshot([a, b], 8) == []
-    assert value_equivalent(a, b)
-    assert not value_equivalent(a, tup(trg="w"))
-
-
-def test_partition_by_label():
-    parts = partition_by_label([tup(label="a"), tup(label="b"), tup(label="a")])
-    assert sorted(parts) == ["a", "b"]
-    assert len(parts["a"]) == 2
 
 
 def test_window_interval_formula():

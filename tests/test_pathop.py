@@ -223,6 +223,16 @@ def test_deleting_unknown_edge_warns_and_is_noop(caplog):
     assert "ignored" in caplog.text
 
 
+def test_deleting_an_unwindowed_edge_leaves_no_empty_bucket():
+    st = stage("a+", "P")
+    st.on_tuple(0, sgt("x", "y", "a", 0, INF, origin=1), 0)
+    st.on_tuple(0, sgt("x", "y", "a", 1, INF, origin=1, sign=-1), 1)
+    st.on_watermark(10 ** 9)
+    assert st.adj == {}
+    assert st.trees == {} and st.inverted == {}
+    assert len(st.node_expiry) == 0 and len(st.adj_expiry) == 0
+
+
 def test_insert_then_delete_equals_never_inserted():
     a = stage("(a.b)+", "P")
     b = stage("(a.b)+", "P")
