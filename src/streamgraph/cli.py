@@ -21,12 +21,7 @@ import sys
 from streamgraph import algebra
 from streamgraph.oracle import answer_pairs, eval_query_at
 from streamgraph.query import QueryError, parse_query, to_plan
-from streamgraph.runtime import (
-    StreamOrderError,
-    ThreadedPipeline,
-    compile_plan,
-    run_stream,
-)
+from streamgraph.runtime import StreamOrderError, compile_plan, run_stream
 from streamgraph.streams import (
     StreamFormatError,
     generate_synthetic,
@@ -54,10 +49,7 @@ def cmd_run(args) -> int:
     q = _load_query(args)
     events = _load_events(args.input)
     pipe = compile_plan(to_plan(q), payload=args.payload)
-    if args.threads == "per-op":
-        metrics = ThreadedPipeline(pipe).run(events)
-    else:
-        metrics = run_stream(pipe, events)
+    metrics = run_stream(pipe, events)
     tuples = pipe.sink.results() if args.net else pipe.sink.log
     fh = _out_handle(args.output)
     try:
@@ -170,7 +162,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="edge stream file")
     p.add_argument("--output", default=None, help="result file (default stdout)")
     p.add_argument("--metrics", default=None, help="write metrics JSON here")
-    p.add_argument("--threads", choices=("one", "per-op"), default="one")
     p.add_argument("--payload", choices=("derived", "expanded"), default="derived")
     p.add_argument("--net", action="store_true",
                    help="write final net results instead of the signed log")

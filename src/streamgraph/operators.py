@@ -54,10 +54,11 @@ class WindowScan:
     """Leaf stage: edges in, windowed signed tuples out.
 
     Remembers the interval of each live insertion so that a deletion can
-    be re-stamped with the interval of the tuple it undoes.
+    be re-stamped with the interval of the tuple it undoes.  With size
+    ``math.inf`` (and slide 1) it is a raw scan: intervals never end.
     """
 
-    def __init__(self, size: int, slide: int):
+    def __init__(self, size: float, slide: int):
         self.size = size
         self.slide = slide
         self.live: dict[int, Interval] = {}
@@ -106,31 +107,10 @@ class WindowAssign:
         pass
 
 
-class RawScan:
-    """Unwindowed leaf: tuples stay valid forever until a window stage
-    (or nothing) bounds them."""
-
-    def on_tuple(self, port: int, e: EdgeEvent, now: int) -> list[StreamTuple]:
-        iv = Interval(e.ts, float("inf"))
-        return [
-            StreamTuple(
-                e.src, e.trg, e.label, iv,
-                payload=((e.src, e.label, e.trg),),
-                sign=e.sign, origin=e.uid if e.sign > 0 else e.ref,
-            )
-        ]
-
-    def on_watermark(self, w: int) -> None:
-        pass
-
-
 def eval_predicate(t: StreamTuple, predicate: tuple[Comparison, ...]) -> bool:
-    def attr(name: str):
-        return {"src": t.src, "trg": t.trg, "label": t.label}[name]
-
     for c in predicate:
-        lhs = attr(c.lhs)
-        rhs = attr(c.rhs[1]) if c.rhs[0] == "attr" else c.rhs[1]
+        lhs = getattr(t, c.lhs)
+        rhs = getattr(t, c.rhs[1]) if c.rhs[0] == "attr" else c.rhs[1]
         ok = lhs == rhs if c.op == "=" else lhs != rhs
         if not ok:
             return False

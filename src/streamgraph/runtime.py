@@ -11,20 +11,13 @@ per-slide wall-clock latencies for the metrics report.
 Set semantics are restored by a coalescing stage placed behind every
 operator that can produce value-equivalent overlapping tuples: windowed
 scans, window assignment, unions, joins and path navigation.  Filters
-and raw scans preserve disjointness and stay bare.
-
-Execution is single-threaded by default.  With ``threads="per-op"``
-every stage runs on its own worker thread connected by bounded FIFO
-channels; emissions stay ordered per channel (a retraction can never
-overtake the insertion it cancels) while tuples of unrelated channels
-may interleave, which changes at most the order of emissions inside a
-slide, never their net effect.
+and raw scans preserve disjointness and stay bare.  A raw (unwindowed)
+scan is a window scan whose intervals never end.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -35,7 +28,6 @@ from streamgraph.operators import (
     CoalesceStage,
     FilterStage,
     PatternStage,
-    RawScan,
     UnionStage,
     WindowAssign,
     WindowScan,
@@ -51,23 +43,6 @@ class StreamOrderError(ValueError):
     pass
 
 
-class _RememberingRawScan(RawScan):
-    """Raw scan that restamps deletions with the insertion's timestamp,
-    so a window stage further up recomputes the right interval."""
-
-    def __init__(self):
-        self.live_ts: dict[int, int] = {}
-
-    def on_tuple(self, port, e, now):
-        if e.sign > 0:
-            self.live_ts[e.uid] = e.ts
-            return super().on_tuple(port, e, now)
-        ts = self.live_ts.pop(e.ref, None)
-        if ts is None:
-            return []
-        return super().on_tuple(port, EdgeEvent(e.src, e.trg, e.label, ts, -1, e.uid, e.ref), now)
-
-
 class PipeNode:
     """One stage instance wired into the dataflow tree."""
 
@@ -75,7 +50,6 @@ class PipeNode:
         self.stage = stage
         self.parent = parent
         self.port = port
-        self.nports = nports
         self.label = label
         self.wms = [float("-inf")] * nports
         self.effective = float("-inf")
@@ -89,26 +63,20 @@ class PipeNode:
             for o in outs:
                 self.parent.push(self.port, o, now)
 
-    def advance_watermark(self, port: int, w: int) -> int | None:
-        """Merge one per-port watermark; returns the new effective value
-        if it moved, None otherwise.  A regression is a contract bug."""
+    def watermark(self, port: int, w: int) -> None:
+        """Merge one per-port watermark and, if the effective (minimum)
+        one moved, purge and forward it.  A regression is a contract bug."""
         if w < self.wms[port]:
             raise StreamOrderError(
                 f"watermark regressed from {self.wms[port]} to {w} at {self.label}"
             )
         if w == self.wms[port]:
-            return None
+            return
         self.wms[port] = w
         eff = min(self.wms)
-        if eff > self.effective:
-            self.effective = eff
-            return eff
-        return None
-
-    def watermark(self, port: int, w: int) -> None:
-        eff = self.advance_watermark(port, w)
-        if eff is None:
+        if eff <= self.effective:
             return
+        self.effective = eff
         self.stage.on_watermark(eff)
         if self.parent is not None:
             self.parent.watermark(self.port, eff)
@@ -123,29 +91,25 @@ class OutputSink:
         self.log: list[StreamTuple] = []
         self.live: dict[object, StreamTuple] = {}
         self.expiry = ExpiryIndex()
-        self._lock = threading.Lock()
 
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
-        with self._lock:
-            self.log.append(t)
-            if t.sign > 0:
-                self.live[t.origin] = t
-                self.expiry.add(t.exp, t.origin)
-            else:
-                self.live.pop(t.origin, None)
+        self.log.append(t)
+        if t.sign > 0:
+            self.live[t.origin] = t
+            self.expiry.add(t.exp, t.origin)
+        else:
+            self.live.pop(t.origin, None)
         return []
 
     def on_watermark(self, w: int) -> None:
-        with self._lock:
-            live = self.live
-            for origin in self.expiry.expired(w):
-                t = live.get(origin)
-                if t is not None and t.exp <= w:
-                    del live[origin]
+        live = self.live
+        for origin in self.expiry.expired(w):
+            t = live.get(origin)
+            if t is not None and t.exp <= w:
+                del live[origin]
 
     def snapshot(self, t: int) -> set[tuple[str, str, str]]:
-        with self._lock:
-            return {x.key for x in self.live.values() if x.interval.contains(t)}
+        return {x.key for x in self.live.values() if x.interval.contains(t)}
 
     def results(self) -> list[StreamTuple]:
         return sorted(net_results(self.log), key=lambda t: (t.ts, t.key, t.exp))
@@ -190,7 +154,9 @@ class Pipeline:
         lbl = algebra.plan_label(node)
         if isinstance(node, algebra.Wscan):
             if node.size is None:
-                entry = PipeNode(_RememberingRawScan(), parent, port, 1, f"scan {lbl}")
+                # [ts, inf) intervals; the scan still restamps a deletion
+                # with its insertion's, for a window stage further up
+                entry = PipeNode(WindowScan(math.inf, 1), parent, port, 1, f"scan {lbl}")
                 self.nodes.append(entry)
             else:
                 co = PipeNode(CoalesceStage(self._next_id()), parent, port, 1, f"coalesce {lbl}")
@@ -343,108 +309,6 @@ def run_stream(
     m.slides = 0 if base is None else int((wm - base) // beta)
     m.emissions = len(pipeline.sink.log)
     return m
-
-
-class ThreadedPipeline:
-    """Runs each stage of a compiled pipeline on its own worker thread.
-
-    Channels are bounded FIFO queues; watermarks travel in-band so a
-    stage purges only after draining everything older.  Net results are
-    identical to single-threaded execution, emission order within a
-    slide is not.
-    """
-
-    _END = object()
-
-    def __init__(self, pipeline: Pipeline, channel_size: int = 1024):
-        self.pipeline = pipeline
-        self.queues: dict[PipeNode, queue.Queue] = {
-            n: queue.Queue(maxsize=channel_size) for n in pipeline.nodes
-        }
-        self.threads = [
-            threading.Thread(target=self._work, args=(n,), daemon=True)
-            for n in pipeline.nodes
-        ]
-
-    def _work(self, node: PipeNode) -> None:
-        q = self.queues[node]
-        ended = 0
-        while True:
-            msg = q.get()
-            if msg is self._END:
-                ended += 1
-                if ended < node.nports:
-                    continue
-                if node.parent is not None:
-                    self.queues[node.parent].put(self._END)
-                return
-            kind, port, payload, now = msg
-            if kind == "t":
-                outs = node.stage.on_tuple(port, payload, now)
-                if node.tap is not None:
-                    node.tap.extend(outs)
-                if node.parent is not None:
-                    pq = self.queues[node.parent]
-                    for o in outs:
-                        pq.put(("t", node.port, o, now))
-            else:
-                eff = node.advance_watermark(port, payload)
-                if eff is not None:
-                    node.stage.on_watermark(eff)
-                    if node.parent is not None:
-                        self.queues[node.parent].put(("w", node.port, eff, now))
-
-    def run(self, events) -> Metrics:
-        for t in self.threads:
-            t.start()
-        p = self.pipeline
-        beta = p.slide
-        m = Metrics()
-        prev_ts = None
-        base = wm = None
-        t0 = time.perf_counter()
-        last_mark = t0
-        try:
-            for e in events:
-                if prev_ts is not None and e.ts < prev_ts:
-                    raise StreamOrderError(
-                        f"out-of-order record at ts={e.ts} after ts={prev_ts}: "
-                        f"{e.sign:+d} {e.src} {e.trg} {e.label}"
-                    )
-                boundary = (e.ts // beta) * beta
-                if base is None:
-                    base = wm = boundary
-                elif boundary > wm:
-                    self._broadcast(("w", 0, boundary, boundary))
-                    wm = boundary
-                    now_t = time.perf_counter()
-                    m.slide_latencies.append(now_t - last_mark)
-                    last_mark = now_t
-                prev_ts = e.ts
-                for src in p.sources.get(e.label, ()):
-                    self.queues[src].put(("t", 0, e, e.ts))
-                m.events_in += 1
-            if prev_ts is not None:
-                final = -(-prev_ts // beta) * beta
-                if final > wm:
-                    self._broadcast(("w", 0, final, final))
-                    wm = final
-                    m.slide_latencies.append(time.perf_counter() - last_mark)
-        finally:
-            for nodes in p.sources.values():
-                for src in nodes:
-                    self.queues[src].put(self._END)
-            for t in self.threads:
-                t.join()
-        m.elapsed = time.perf_counter() - t0
-        m.slides = 0 if base is None else int((wm - base) // beta)
-        m.emissions = len(p.sink.log)
-        return m
-
-    def _broadcast(self, msg) -> None:
-        for nodes in self.pipeline.sources.values():
-            for src in nodes:
-                self.queues[src].put(msg)
 
 
 def compile_plan(plan, payload: str = "derived") -> Pipeline:

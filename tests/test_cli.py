@@ -86,14 +86,6 @@ def test_run_metrics_json_has_the_flat_schema(tmp_path):
     assert doc["p99_latency"] > 0
 
 
-def test_run_threaded_net_matches_single_threaded(tmp_path, capsys):
-    qf, sf = notify_args(tmp_path)
-    assert cli.main([
-        "run", "--query", qf, "--input", sf, "--net", "--threads", "per-op",
-    ]) == 0
-    assert capsys.readouterr().out.splitlines() == NET_LINES
-
-
 def test_run_payload_expanded_flattens_witnesses(tmp_path, capsys):
     qf, sf = notify_args(tmp_path)
     assert cli.main([

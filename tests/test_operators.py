@@ -8,8 +8,10 @@ merged interval sets.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,8 +44,10 @@ def test_wscan_stamps_window_interval():
     assert t.payload == (("a", "l", "b"),)
 
 
-def test_wscan_deletion_reuses_insertion_interval():
-    ws = WindowScan(24, 10)
+@pytest.mark.parametrize("size, slide", [(24, 10), (math.inf, 1)],
+                         ids=["windowed", "raw"])
+def test_wscan_deletion_reuses_insertion_interval(size, slide):
+    ws = WindowScan(size, slide)
     [pos] = ws.on_tuple(0, EdgeEvent("a", "b", "l", 25, 1, uid=3), 25)
     [neg] = ws.on_tuple(0, EdgeEvent("a", "b", "l", 31, -1, uid=4, ref=3), 31)
     assert neg.sign == -1

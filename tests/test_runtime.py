@@ -1,5 +1,5 @@
 """Compilation and driver tests: plan wiring, watermark plumbing, the
-social-network example end to end, and threaded equivalence."""
+social-network example end to end, and determinism."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from streamgraph.runtime import (
     OutputSink,
     PipeNode,
     StreamOrderError,
-    ThreadedPipeline,
     compile_plan,
     net_results,
     run_stream,
@@ -276,8 +275,12 @@ def test_deletion_retracts_through_a_raw_scan_and_window():
     assert pipe.sink.results() == []
 
 
-def test_unknown_deletion_is_a_no_op():
-    pipe = compile_plan(algebra.Wscan("a", 10, 2))
+@pytest.mark.parametrize("plan", [
+    algebra.Wscan("a", 10, 2),
+    algebra.Window(algebra.Wscan("a"), 10, 2),
+], ids=["windowed", "raw"])
+def test_unknown_deletion_is_a_no_op(plan):
+    pipe = compile_plan(plan)
     run_stream(pipe, [
         EdgeEvent("x", "y", "a", 3, 1, 0),
         EdgeEvent("q", "r", "a", 4, -1, 1, ref=99),
@@ -294,6 +297,20 @@ def test_slide_count_covers_the_stream_span():
     # base boundary 0, crossing at 5, end flush at 10
     assert m.slides == 2
     assert len(m.slide_latencies) == 2
+
+
+def test_failing_stage_error_reaches_the_caller():
+    pipe = compile_plan(to_plan(parse_query("Answer(x, y) <- a+(x, y)", window=10, slide=5)))
+    [path] = [n for n in pipe.nodes if n.label.startswith("path ")]
+    err = RuntimeError("stage failed")
+
+    def fail(port, t, now):
+        raise err
+
+    path.stage.on_tuple = fail
+    with pytest.raises(RuntimeError) as caught:
+        run_stream(pipe, events([("x", "y", "a", 1), ("y", "z", "a", 2)]))
+    assert caught.value is err
 
 
 def test_empty_stream_yields_zeroed_metrics():
@@ -336,31 +353,7 @@ def test_throughput_guards_zero_elapsed():
     assert Metrics(events_in=10, elapsed=0.0).throughput is None
 
 
-# ------------------------------------------------------------------ threaded
-
-
-def test_threaded_run_matches_single_threaded_on_the_example():
-    single = notify_pipeline()
-    run_stream(single, events(PART_A))
-    threaded = ThreadedPipeline(notify_pipeline())
-    tm = threaded.run(events(PART_A))
-    assert sorted(val(t) for t in threaded.pipeline.sink.results()) == sorted(
-        val(t) for t in single.sink.results()
-    )
-    assert tm.events_in == 8
-    assert tm.slides == 23
-
-
-def test_threaded_run_matches_single_threaded_on_synthetic_streams():
-    q = parse_query("Answer(x, y) <- a+(x, y)", window=10, slide=5)
-    feed = generate_synthetic(10, 250, labels=("a", "b"), seed=11, cyclicity=0.4)
-    single = compile_plan(to_plan(q))
-    run_stream(single, feed)
-    threaded = ThreadedPipeline(compile_plan(to_plan(q)))
-    threaded.run(feed)
-    assert sorted(val(t) for t in threaded.pipeline.sink.results()) == sorted(
-        val(t) for t in single.sink.results()
-    )
+# --------------------------------------------------------------- determinism
 
 
 def test_single_threaded_runs_are_deterministic():
