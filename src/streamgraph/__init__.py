@@ -1,7 +1,7 @@
 """Streaming graph query engine: persistent pattern and path queries with
 incrementally maintained results over time-based sliding windows."""
 
-from streamgraph.model import EdgeEvent, Interval, StreamTuple, coalesce, snapshot
+from streamgraph.model import EdgeEvent, Interval, StreamTuple
 from streamgraph.query import QueryError, parse_query, to_plan
 from streamgraph.runtime import Metrics, compile_plan, net_results, run_stream
 
@@ -13,12 +13,10 @@ __all__ = [
     "Metrics",
     "QueryError",
     "StreamTuple",
-    "coalesce",
     "compile_plan",
     "net_results",
     "parse_query",
     "run_stream",
-    "snapshot",
     "to_plan",
     "__version__",
 ]

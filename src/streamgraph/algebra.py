@@ -3,7 +3,7 @@
 A plan is an immutable tree built from six node kinds:
 
     Wscan    leaf scan of one input edge label, optionally windowed
-    Window   assigns window expiry over an unwindowed subplan
+    Window   assigns window expiry over filters and unions of unwindowed scans
     Filter   predicate over the distinguished attributes (src, trg, label)
     Union    merge of same-schema subplans under a new label
     Pattern  multi-way join with positional equality condition
@@ -183,7 +183,7 @@ def validate_plan(node: PlanNode) -> None:
             for a in names:
                 if a not in ("src", "trg", "label"):
                     raise PlanError(f"filter references unknown attribute {a!r}")
-    elif isinstance(node, Window):
+    elif isinstance(node, Window) or (isinstance(node, Wscan) and node.size is not None):
         if node.size < node.slide or node.slide < 1:
             raise PlanError("window size must be >= slide >= 1")
 

@@ -29,7 +29,7 @@ import heapq
 import math
 import sys
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable
+from typing import Hashable
 
 Triple = tuple[str, str, str]  # (src, label, trg)
 
@@ -174,50 +174,6 @@ class StreamTuple(_Record):
 def intern_name(name: str) -> str:
     """Intern vertex/label names so tuple keys hash and compare fast."""
     return sys.intern(name)
-
-
-def _default_agg(tuples: list[StreamTuple]) -> tuple[Triple, ...]:
-    # Keep the payload of the widest surviving contributor: largest end,
-    # ties by largest start, then earliest position in the argument order.
-    best = tuples[0]
-    for t in tuples[1:]:
-        if (t.exp, t.ts) > (best.exp, best.ts):
-            best = t
-    return best.payload
-
-
-def coalesce(
-    tuples: Iterable[StreamTuple],
-    agg: Callable[[list[StreamTuple]], tuple[Triple, ...]] | None = None,
-) -> StreamTuple:
-    """Merge value-equivalent tuples whose intervals chain into one tuple.
-
-    Every pair of inputs must be value-equivalent and the intervals must form
-    a single contiguous block (each interval overlaps or touches the union of
-    the others); otherwise ValueError is raised.
-    """
-    items = list(tuples)
-    if not items:
-        raise ValueError("coalesce of no tuples")
-    key = items[0].key
-    for t in items[1:]:
-        if t.key != key:
-            raise ValueError(f"coalesce across distinct keys {key} and {t.key}")
-    merged = sorted(items, key=lambda t: (t.ts, t.exp))
-    span = merged[0].interval
-    for t in merged[1:]:
-        if not span.overlaps_or_adjacent(t.interval):
-            raise ValueError(
-                f"coalesce over disjoint intervals {span} and {t.interval}"
-            )
-        span = span.hull(t.interval)
-    payload = (_default_agg if agg is None else agg)(items)
-    return StreamTuple(key[0], key[1], key[2], span, payload)
-
-
-def snapshot(tuples: Iterable[StreamTuple], t: int) -> list[StreamTuple]:
-    """Tuples of a (positive) stream whose validity interval contains t."""
-    return [x for x in tuples if x.interval.contains(t)]
 
 
 class ExpiryIndex:

@@ -6,10 +6,15 @@ negative tuple with origin o exactly cancels the latest positive with
 origin o.  Operators therefore keep their state keyed by origin, which
 makes deletion cascades and interval corrections purely mechanical:
 
-    scan      origin = input event id
+    scan      origin = input event id; a deletion's is the id it undoes
     join      origin = tuple of child origins
     path      origin = (op, root, vertex, state)
     coalesce  origin = fresh per advertised interval
+
+Scans remember nothing.  A scan stamps every event, deletions included,
+with the window of the event's own timestamp, so a deletion's interval
+is not its insertion's; the coalesce stage behind every scan cancels a
+retraction by key and origin alone and never reads that interval.
 
 The coalesce stage restores set semantics after stateful operators: it
 tracks one interval per upstream origin and (src, trg, label) key,
@@ -41,66 +46,22 @@ from streamgraph.model import (
 log = logging.getLogger(__name__)
 
 
-def wscan_apply(e: EdgeEvent, size: int, slide: int) -> StreamTuple:
-    """Stamp one input edge with its window validity interval."""
-    iv = window_interval(e.ts, size, slide)
-    return StreamTuple(
-        e.src, e.trg, e.label, iv, payload=((e.src, e.label, e.trg),), sign=e.sign,
-        origin=e.uid if e.sign > 0 else e.ref,
-    )
-
-
 class WindowScan:
-    """Leaf stage: edges in, windowed signed tuples out.
-
-    Remembers the interval of each live insertion so that a deletion can
-    be re-stamped with the interval of the tuple it undoes.  With size
-    ``math.inf`` (and slide 1) it is a raw scan: intervals never end.
-    """
+    """Leaf stage: edges in, windowed signed tuples out; stateless (see
+    the module docstring).  With size ``math.inf`` (and slide 1) it is a
+    raw scan: intervals never end."""
 
     def __init__(self, size: float, slide: int):
         self.size = size
         self.slide = slide
-        self.live: dict[int, Interval] = {}
-        self.expiry = ExpiryIndex()
 
     def on_tuple(self, port: int, e: EdgeEvent, now: int) -> list[StreamTuple]:
-        if e.sign > 0:
-            t = wscan_apply(e, self.size, self.slide)
-            self.live[e.uid] = t.interval
-            self.expiry.add(t.interval.end, e.uid)
-            return [t]
-        iv = self.live.pop(e.ref, None)
-        if iv is None:
-            log.warning("deletion of unknown or expired edge %s ignored", e)
-            return []
         return [
             StreamTuple(
-                e.src, e.trg, e.label, iv,
-                payload=((e.src, e.label, e.trg),), sign=-1, origin=e.ref,
+                e.src, e.trg, e.label, window_interval(e.ts, self.size, self.slide),
+                payload=((e.src, e.label, e.trg),), sign=e.sign,
+                origin=e.uid if e.sign > 0 else e.ref,
             )
-        ]
-
-    def on_watermark(self, w: int) -> None:
-        live = self.live
-        for uid in self.expiry.expired(w):
-            iv = live.get(uid)
-            if iv is not None and iv.end <= w:
-                del live[uid]
-
-
-class WindowAssign:
-    """Replaces intervals of already-scanned tuples; used when a window
-    has been hoisted above a filter by a plan rewrite."""
-
-    def __init__(self, size: int, slide: int):
-        self.size = size
-        self.slide = slide
-
-    def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
-        iv = window_interval(t.ts, self.size, self.slide)
-        return [
-            StreamTuple(t.src, t.trg, t.label, iv, t.payload, t.sign, origin=t.origin)
         ]
 
     def on_watermark(self, w: int) -> None:

@@ -9,10 +9,13 @@ the first record of the new slide) and once more at the end, and keeps
 per-slide wall-clock latencies for the metrics report.
 
 Set semantics are restored by a coalescing stage placed behind every
-operator that can produce value-equivalent overlapping tuples: windowed
-scans, window assignment, unions, joins and path navigation.  Filters
-and raw scans preserve disjointness and stay bare.  A raw (unwindowed)
-scan is a window scan whose intervals never end.
+operator that can produce value-equivalent overlapping tuples: scans,
+unions, joins and path navigation.  Every scan meets a Coalesce through
+filters and unions only: its own, or that of the Window above it.  A
+Window compiles into the scans beneath it, which stamp its intervals,
+and is left as their Coalesce.  An unwindowed scan outside any Window
+stamps intervals that never end.  Scans are stateless; the Coalesce
+matches each deletion to the insertion it undoes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from streamgraph.operators import (
     FilterStage,
     PatternStage,
     UnionStage,
-    WindowAssign,
     WindowScan,
 )
 from streamgraph.pathop import PathStage
@@ -142,68 +144,62 @@ class Pipeline:
             default=1,
         )
         self._ids = 0
-        sink_node = PipeNode(self.sink, None, 0, 1, "sink")
-        self.nodes.append(sink_node)
-        self._build(plan, sink_node, 0)
+        self._build(plan, self._add(self.sink, None, 0, 1, "sink"), 0)
 
     def _next_id(self) -> int:
         self._ids += 1
         return self._ids
 
-    def _build(self, node, parent: PipeNode, port: int) -> None:
+    def _add(self, stage, parent: PipeNode | None, port: int, nports: int, label: str) -> PipeNode:
+        node = PipeNode(stage, parent, port, nports, label)
+        self.nodes.append(node)
+        return node
+
+    def _coalesce(self, parent: PipeNode, port: int, lbl: str) -> PipeNode:
+        return self._add(CoalesceStage(self._next_id()), parent, port, 1, f"coalesce {lbl}")
+
+    def _build(self, node, parent: PipeNode, port: int, window=None) -> None:
+        """Compile ``node`` below ``parent``.  ``window`` is the (size,
+        slide) of an enclosing Window: it compiles into the scans beneath
+        it, so that the Window itself is only their Coalesce."""
         lbl = algebra.plan_label(node)
-        if isinstance(node, algebra.Wscan):
-            if node.size is None:
-                # [ts, inf) intervals; the scan still restamps a deletion
-                # with its insertion's, for a window stage further up
-                entry = PipeNode(WindowScan(math.inf, 1), parent, port, 1, f"scan {lbl}")
-                self.nodes.append(entry)
-            else:
-                co = PipeNode(CoalesceStage(self._next_id()), parent, port, 1, f"coalesce {lbl}")
-                entry = PipeNode(WindowScan(node.size, node.slide), co, 0, 1, f"wscan {lbl}")
-                self.nodes.extend([co, entry])
-            self.sources.setdefault(node.label, []).append(entry)
-            return
-        if isinstance(node, algebra.Window):
-            co = PipeNode(CoalesceStage(self._next_id()), parent, port, 1, f"coalesce {lbl}")
-            entry = PipeNode(WindowAssign(node.size, node.slide), co, 0, 1, f"window {lbl}")
-            self.nodes.extend([co, entry])
-            self._build(node.child, entry, 0)
-            return
-        if isinstance(node, algebra.Filter):
-            entry = PipeNode(FilterStage(node.predicate), parent, port, 1, f"filter {lbl}")
-            self.nodes.append(entry)
-            self._build(node.child, entry, 0)
-            return
-        if isinstance(node, algebra.Union):
-            kids = node.children
-            co = PipeNode(CoalesceStage(self._next_id()), parent, port, 1, f"coalesce {lbl}")
-            entry = PipeNode(UnionStage(node.label), co, 0, len(kids), f"union {lbl}")
-            self.nodes.extend([co, entry])
-            for i, kid in enumerate(kids):
-                self._build(kid, entry, i)
-            return
-        if isinstance(node, algebra.Pattern):
-            kids = node.children
-            co = PipeNode(CoalesceStage(self._next_id()), parent, port, 1, f"coalesce {lbl}")
-            stage = PatternStage(len(kids), node.condition, node.label)
-            entry = PipeNode(stage, co, 0, len(kids), f"pattern {lbl}")
-            self.nodes.extend([co, entry])
-            for i, kid in enumerate(kids):
-                self._build(kid, entry, i)
-            return
-        if isinstance(node, algebra.Path):
-            kids = node.children
-            co = PipeNode(CoalesceStage(self._next_id()), parent, port, 1, f"coalesce {lbl}")
-            stage = PathStage(
-                build_dfa(node.regex), node.label, self._next_id(), self.payload
+        if window is not None and not (
+            isinstance(node, (algebra.Filter, algebra.Union))
+            or (isinstance(node, algebra.Wscan) and node.size is None)
+        ):
+            raise CompileError(
+                "a window covers only filters and unions of unwindowed scans, "
+                f"not {algebra.render_plan(node)}"
             )
-            entry = PipeNode(stage, co, 0, len(kids), f"path {lbl}")
-            self.nodes.extend([co, entry])
+        if isinstance(node, algebra.Wscan):
+            if window is None:
+                window = (math.inf, 1) if node.size is None else (node.size, node.slide)
+                parent, port = self._coalesce(parent, port, lbl), 0
+            entry = self._add(WindowScan(*window), parent, port, 1, f"wscan {lbl}")
+            self.sources.setdefault(node.label, []).append(entry)
+        elif isinstance(node, algebra.Window):
+            co = self._coalesce(parent, port, lbl)
+            self._build(node.child, co, 0, (node.size, node.slide))
+        elif isinstance(node, algebra.Filter):
+            entry = self._add(FilterStage(node.predicate), parent, port, 1, f"filter {lbl}")
+            self._build(node.child, entry, 0, window)
+        elif isinstance(node, (algebra.Union, algebra.Pattern, algebra.Path)):
+            kids = node.children
+            co = self._coalesce(parent, port, lbl)
+            if isinstance(node, algebra.Union):
+                stage, kind = UnionStage(node.label), "union"
+            elif isinstance(node, algebra.Pattern):
+                stage, kind = PatternStage(len(kids), node.condition, node.label), "pattern"
+            else:
+                stage = PathStage(
+                    build_dfa(node.regex), node.label, self._next_id(), self.payload
+                )
+                kind = "path"
+            entry = self._add(stage, co, 0, len(kids), f"{kind} {lbl}")
             for i, kid in enumerate(kids):
-                self._build(kid, entry, i)
-            return
-        raise CompileError(f"cannot compile plan node {type(node).__name__}")
+                self._build(kid, entry, i, window)
+        else:
+            raise CompileError(f"cannot compile plan node {type(node).__name__}")
 
     def tap(self, label: str) -> list[StreamTuple]:
         """Capture the coalesced output stream of every operator whose

@@ -664,7 +664,7 @@ def test_set_semantics_hook_covers_all_runs():
 def _held_state(stage) -> dict[str, int]:
     """Entries one stage still holds, by table; stateless stages hold
     none."""
-    if isinstance(stage, (operators.WindowScan, runtime.OutputSink)):
+    if isinstance(stage, runtime.OutputSink):
         tables = {"live": len(stage.live), "expiry": len(stage.expiry)}
     elif isinstance(stage, operators.CoalesceStage):
         tables = {"contribs": len(stage.contribs),
@@ -680,10 +680,25 @@ def _held_state(stage) -> dict[str, int]:
                   "node_expiry": len(stage.node_expiry),
                   "adj_expiry": len(stage.adj_expiry)}
     else:
-        assert isinstance(stage, (operators.FilterStage, operators.UnionStage,
-                                  operators.WindowAssign)), stage
+        assert isinstance(stage, (operators.WindowScan, operators.FilterStage,
+                                  operators.UnionStage)), stage
         tables = {}
     return {name: n for name, n in tables.items() if n}
+
+
+def _drain_cases(ops):
+    """Every catalog shape as planned and with its windows hoisted toward
+    the root, over the fuzz stream; then 1000 insertions, none deleted,
+    through a window hoisted above a filter."""
+    events = _fuzz_events(seed=7, ops=ops)
+    for name, text in TABLE_QUERIES.items():
+        plan = to_plan(parse_query(text, window=40, slide=5))
+        yield name, plan, events
+        yield f"{name} hoisted", algebra.rewrite_window_filter(plan, "up"), events
+    not_q = (algebra.Comparison("src", "!=", ("const", "q")),)
+    yield ("hoisted filter",
+           algebra.Window(algebra.Filter(algebra.Wscan("a"), not_q), 10, 2),
+           [EdgeEvent(f"v{i % 12}", f"v{i % 7}", "a", i, 1, i) for i in range(1000)])
 
 
 @pytest.mark.parametrize("ops", [600, 3000])
@@ -691,9 +706,8 @@ def test_all_state_drains_after_the_last_expiry(ops):
     """Once a watermark passes every finite end, every stateful stage,
     its expiry index included, holds nothing, whatever the churn of
     insertions and deletions before it."""
-    events = _fuzz_events(seed=7, ops=ops)
-    for name, text in TABLE_QUERIES.items():
-        pipe = compile_plan(to_plan(parse_query(text, window=40, slide=5)))
+    for name, plan, events in _drain_cases(ops):
+        pipe = compile_plan(plan)
         run_stream(pipe, events)
         pipe.watermark(10 ** 9)
         held = [(n.label, _held_state(n.stage)) for n in pipe.nodes]
@@ -762,13 +776,18 @@ PINNED_OUTPUTS = {
 
 
 def test_catalog_outputs_are_pinned():
-    """A speed-up must not change what the engine emits.  When a change
-    alters semantics on purpose (say, what ``*`` means), update these
+    """A speed-up must not change what the engine emits, and hoisting the
+    windows toward the root must not either.  When a change alters
+    semantics on purpose (say, what ``*`` means), update these
     values deliberately in that change and say why."""
     events = _fuzz_events(seed=7, ops=3000)
-    got = {}
+    got, hoisted = {}, {}
     for name, text in TABLE_QUERIES.items():
-        pipe = compile_plan(to_plan(parse_query(text, window=40, slide=5)))
-        run_stream(pipe, events)
-        got[name] = (len(pipe.sink.log), _net_digest(pipe.sink.results()))
+        plan = to_plan(parse_query(text, window=40, slide=5))
+        variants = ((got, plan), (hoisted, algebra.rewrite_window_filter(plan, "up")))
+        for out, variant in variants:
+            pipe = compile_plan(variant)
+            run_stream(pipe, events)
+            out[name] = (len(pipe.sink.log), _net_digest(pipe.sink.results()))
     assert got == PINNED_OUTPUTS
+    assert hoisted == PINNED_OUTPUTS

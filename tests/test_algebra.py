@@ -71,6 +71,8 @@ def test_parse_plan_rejects_malformed():
         "pattern[trg1=src9 -> (src1, trg1) D](wscan[a size=5 slide=1])",
         "path[z+ -> D](wscan[a size=5 slide=1])",
         "window[size=1 slide=5](wscan[a])",
+        "wscan[a size=0 slide=0]",
+        "wscan[a size=2 slide=5]",
         "filter[src ~ trg](wscan[a size=5 slide=1])",
         "wscan[a] trailing",
     ]:

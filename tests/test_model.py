@@ -9,8 +9,6 @@ from streamgraph.model import (
     ExpiryIndex,
     Interval,
     StreamTuple,
-    coalesce,
-    snapshot,
     window_interval,
 )
 from streamgraph.operators import Row
@@ -19,10 +17,6 @@ from streamgraph.operators import Row
 def _covered(iv: Interval, horizon: int = 64) -> set[int]:
     # Independent oracle: the set of integer instants an interval covers.
     return {t for t in range(horizon) if iv.start <= t < iv.end}
-
-
-def tup(src="u", trg="v", label="a", start=0, end=10, payload=None) -> StreamTuple:
-    return StreamTuple(src, trg, label, Interval(start, end), tuple(payload or ()))
 
 
 def test_interval_rejects_empty():
@@ -128,56 +122,6 @@ def test_overlaps_or_adjacent_matches_union_contiguity(a, b):
             merged_is_contiguous = False
     # Adjacency at integer granularity: [a,b) next to [b,c) is contiguous.
     assert a.overlaps_or_adjacent(b) == merged_is_contiguous
-
-
-def test_coalesce_chain_of_three():
-    parts = [tup(start=2, end=5), tup(start=4, end=9), tup(start=9, end=10)]
-    got = coalesce(parts)
-    assert got.interval == Interval(2, 10)
-    assert got.key == ("u", "v", "a")
-
-
-def test_coalesce_rejects_disjoint_and_mixed_keys():
-    with pytest.raises(ValueError):
-        coalesce([tup(start=2, end=5), tup(start=7, end=9)])
-    with pytest.raises(ValueError):
-        coalesce([tup(label="a"), tup(label="b")])
-    with pytest.raises(ValueError):
-        coalesce([])
-
-
-def test_coalesce_default_payload_keeps_widest_contributor():
-    a = tup(start=2, end=9, payload=[("u", "a", "m")])
-    b = tup(start=3, end=9, payload=[("u", "b", "m")])
-    c = tup(start=1, end=7, payload=[("u", "c", "m")])
-    # Largest end wins; ties by largest start; then first-seen order.
-    assert coalesce([c, a, b]).payload == (("u", "b", "m"),)
-    assert coalesce([c, b, a]).payload == (("u", "b", "m"),)
-    same = tup(start=2, end=9, payload=[("u", "z", "m")])
-    assert coalesce([a, same]).payload == a.payload
-
-
-@given(st.lists(intervals, min_size=1, max_size=6))
-def test_coalesce_property_union_or_rejection(ivs):
-    parts = [tup(start=iv.start, end=int(iv.end)) for iv in ivs]
-    union = set()
-    for iv in ivs:
-        union |= _covered(iv)
-    contiguous = all(y - x == 1 for x, y in zip(sorted(union), sorted(union)[1:]))
-    if contiguous:
-        got = coalesce(parts)
-        assert _covered(got.interval) == union
-    else:
-        with pytest.raises(ValueError):
-            coalesce(parts)
-
-
-def test_snapshot_and_value_equivalence():
-    a = tup(start=0, end=5)
-    b = tup(start=3, end=8)
-    assert snapshot([a, b], 4) == [a, b]
-    assert snapshot([a, b], 6) == [b]
-    assert snapshot([a, b], 8) == []
 
 
 def test_window_interval_formula():

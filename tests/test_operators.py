@@ -24,7 +24,6 @@ from streamgraph.operators import (
     UnionStage,
     WindowScan,
     merge_contributions,
-    wscan_apply,
 )
 
 
@@ -38,33 +37,22 @@ def sgt(src, trg, label, ts, exp, origin, sign=1):
 
 
 def test_wscan_stamps_window_interval():
-    t = wscan_apply(EdgeEvent("a", "b", "l", 25, 1, uid=3), size=24, slide=10)
-    assert (t.ts, t.exp) == (25, 44)
+    ws = WindowScan(24, 10)
+    [t] = ws.on_tuple(0, EdgeEvent("a", "b", "l", 25, 1, uid=3), 25)
+    assert (t.ts, t.exp, t.sign) == (25, 44, 1)
     assert t.origin == 3
     assert t.payload == (("a", "l", "b"),)
 
 
-@pytest.mark.parametrize("size, slide", [(24, 10), (math.inf, 1)],
+@pytest.mark.parametrize("size, slide, want",
+                         [(24, 10, (31, 54)), (math.inf, 1, (31, math.inf))],
                          ids=["windowed", "raw"])
-def test_wscan_deletion_reuses_insertion_interval(size, slide):
+def test_wscan_deletion_carries_its_own_window_and_the_insertions_origin(size, slide, want):
     ws = WindowScan(size, slide)
-    [pos] = ws.on_tuple(0, EdgeEvent("a", "b", "l", 25, 1, uid=3), 25)
+    ws.on_tuple(0, EdgeEvent("a", "b", "l", 25, 1, uid=3), 25)
     [neg] = ws.on_tuple(0, EdgeEvent("a", "b", "l", 31, -1, uid=4, ref=3), 31)
-    assert neg.sign == -1
-    assert neg.interval == pos.interval
+    assert (neg.ts, neg.exp, neg.sign) == (*want, -1)
     assert neg.origin == 3
-
-
-def test_wscan_deletion_of_unknown_edge_is_noop():
-    ws = WindowScan(24, 10)
-    assert ws.on_tuple(0, EdgeEvent("a", "b", "l", 31, -1, uid=0, ref=9), 31) == []
-
-
-def test_wscan_purges_expired_insertions():
-    ws = WindowScan(10, 1)
-    ws.on_tuple(0, EdgeEvent("a", "b", "l", 5, 1, uid=0), 5)
-    ws.on_watermark(15)
-    assert ws.on_tuple(0, EdgeEvent("a", "b", "l", 20, -1, uid=1, ref=0), 20) == []
 
 
 # filter and union
@@ -138,6 +126,20 @@ def test_coalesce_retraction_splits_merged_interval():
     c.on_tuple(0, sgt("a", "b", "l", 8, 20, origin=2), 8)
     out = c.on_tuple(0, sgt("a", "b", "l", 0, 10, origin=1, sign=-1), 9)
     assert [(t.sign, t.ts, t.exp) for t in out] == [(-1, 0, 20), (1, 8, 20)]
+
+
+@pytest.mark.parametrize("start, end", [(10, 20), (31, 41), (0, 1)])
+def test_coalesce_cancels_a_retraction_by_key_and_origin_alone(start, end):
+    """Whatever interval a retraction carries, it undoes the contribution
+    of its key and origin; a scan relies on this for its deletions."""
+    c = CoalesceStage(1)
+    c.on_tuple(0, sgt("a", "b", "l", 10, 20, origin=1), 10)
+    c.on_tuple(0, sgt("a", "b", "l", 12, 22, origin=2), 12)
+    # same origin under another key cancels nothing
+    assert c.on_tuple(0, sgt("a", "c", "l", start, end, origin=1, sign=-1), 15) == []
+    out = c.on_tuple(0, sgt("a", "b", "l", start, end, origin=1, sign=-1), 15)
+    assert [(t.sign, t.ts, t.exp) for t in out] == [(-1, 10, 22), (1, 12, 22)]
+    assert list(c.contribs[("a", "b", "l")]) == [2]
 
 
 def test_coalesce_drops_expired_state_silently():

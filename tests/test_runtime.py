@@ -3,12 +3,15 @@ social-network example end to end, and determinism."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from streamgraph import algebra
 from streamgraph.model import EdgeEvent, Interval, StreamTuple
 from streamgraph.query import parse_query, to_plan
 from streamgraph.runtime import (
+    CompileError,
     Metrics,
     OutputSink,
     PipeNode,
@@ -56,21 +59,50 @@ def notify_pipeline(**kw):
 # ---------------------------------------------------------------- compilation
 
 
-def test_single_windowed_scan_compiles_to_scan_coalesce_sink():
-    pipe = compile_plan(algebra.Wscan("a", 10, 2))
+@pytest.mark.parametrize("plan, window, slide", [
+    (algebra.Wscan("a", 10, 2), (10, 2), 2),
+    (algebra.Window(algebra.Wscan("a"), 10, 2), (10, 2), 2),
+    (algebra.Wscan("a"), (math.inf, 1), 1),
+], ids=["windowed", "window", "raw"])
+def test_single_windowed_scan_compiles_to_scan_coalesce_sink(plan, window, slide):
+    pipe = compile_plan(plan)
     assert [n.label for n in pipe.nodes] == ["sink", "coalesce a", "wscan a"]
     assert pipe.nodes[2].parent is pipe.nodes[1]
     assert pipe.nodes[1].parent is pipe.nodes[0]
-    assert pipe.slide == 2
+    scan = pipe.nodes[2].stage
+    assert (scan.size, scan.slide) == window
+    assert pipe.slide == slide
 
 
-def test_raw_scans_and_filters_compile_without_coalescing():
+def test_window_compiles_into_the_scan_beneath_its_filter():
     pred = (algebra.Comparison("src", "=", ("const", "x")),)
     plan = algebra.Window(algebra.Filter(algebra.Wscan("a"), pred), 10, 2)
     pipe = compile_plan(plan)
     assert [n.label for n in pipe.nodes] == [
-        "sink", "coalesce a", "window a", "filter a", "scan a",
+        "sink", "coalesce a", "filter a", "wscan a",
     ]
+    scan = pipe.nodes[3].stage
+    assert (scan.size, scan.slide) == (10, 2)
+
+
+def test_window_over_a_union_keeps_each_inputs_window():
+    """The scans under the union stamp the window themselves, so a key
+    that arrives again on another input stays live for the later
+    window."""
+    union = algebra.Union((algebra.Wscan("a"), algebra.Wscan("b")), "D")
+    pipe = compile_plan(algebra.Window(union, 10, 2))
+    run_stream(pipe, [EdgeEvent("x", "y", "a", 0, 1, 0), EdgeEvent("x", "y", "b", 5, 1, 1)])
+    assert [val(t) for t in pipe.sink.results()] == [("x", "y", "D", 0, 14)]
+
+
+@pytest.mark.parametrize("child", [
+    algebra.Pattern((algebra.Wscan("a"),), algebra.JoinCondition(
+        (), algebra.Pos(0, "src"), algebra.Pos(0, "trg")), "P"),
+    algebra.Wscan("a", 10, 2),
+], ids=["pattern", "windowed-scan"])
+def test_window_over_anything_but_filters_unions_and_raw_scans_is_rejected(child):
+    with pytest.raises(CompileError):
+        compile_plan(algebra.Window(child, 10, 2))
 
 
 def test_notify_plan_compiles_with_coalescing_behind_every_stateful_stage():
