@@ -18,6 +18,7 @@ automaton.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 
@@ -220,47 +221,45 @@ def build_dfa(node) -> Dfa:
 def _thompson(node):
     eps: dict[int, list[int]] = {}
     sym: dict[int, list[tuple[str, int]]] = {}
-    counter = [0]
-
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    def build(nd) -> tuple[int, int]:
-        if isinstance(nd, Sym):
-            a, b = fresh(), fresh()
-            sym.setdefault(a, []).append((nd.label, b))
-            return a, b
-        if isinstance(nd, Concat):
-            first, last = build(nd.parts[0])
-            for part in nd.parts[1:]:
-                s, e = build(part)
-                eps.setdefault(last, []).append(s)
-                last = e
-            return first, last
-        if isinstance(nd, Alt):
-            a, b = fresh(), fresh()
-            for part in nd.parts:
-                s, e = build(part)
-                eps.setdefault(a, []).append(s)
-                eps.setdefault(e, []).append(b)
-            return a, b
-        if isinstance(nd, Star):
-            a, b = fresh(), fresh()
-            s, e = build(nd.inner)
-            eps.setdefault(a, []).extend((s, b))
-            eps.setdefault(e, []).extend((s, b))
-            return a, b
-        if isinstance(nd, Plus):
-            return build(Concat((nd.inner, Star(nd.inner))))
-        if isinstance(nd, Opt):
-            a, b = build(nd.inner)
-            eps.setdefault(a, []).append(b)
-            return a, b
-        raise TypeError(f"not a regex node: {nd!r}")
-
-    start, accept = build(node)
+    start, accept = _thompson_build(node, eps, sym, itertools.count())
     return start, accept, eps, sym
+
+
+def _thompson_build(nd, eps, sym, ids) -> tuple[int, int]:
+    """Thompson fragment for ``nd``: its (start, accept) states, with its
+    transitions added to ``eps`` and ``sym``.  Module-level rather than a
+    closure over itself, which would leave a reference cycle per regex."""
+    if isinstance(nd, Sym):
+        a, b = next(ids), next(ids)
+        sym.setdefault(a, []).append((nd.label, b))
+        return a, b
+    if isinstance(nd, Concat):
+        first, last = _thompson_build(nd.parts[0], eps, sym, ids)
+        for part in nd.parts[1:]:
+            s, e = _thompson_build(part, eps, sym, ids)
+            eps.setdefault(last, []).append(s)
+            last = e
+        return first, last
+    if isinstance(nd, Alt):
+        a, b = next(ids), next(ids)
+        for part in nd.parts:
+            s, e = _thompson_build(part, eps, sym, ids)
+            eps.setdefault(a, []).append(s)
+            eps.setdefault(e, []).append(b)
+        return a, b
+    if isinstance(nd, Star):
+        a, b = next(ids), next(ids)
+        s, e = _thompson_build(nd.inner, eps, sym, ids)
+        eps.setdefault(a, []).extend((s, b))
+        eps.setdefault(e, []).extend((s, b))
+        return a, b
+    if isinstance(nd, Plus):
+        return _thompson_build(Concat((nd.inner, Star(nd.inner))), eps, sym, ids)
+    if isinstance(nd, Opt):
+        a, b = _thompson_build(nd.inner, eps, sym, ids)
+        eps.setdefault(a, []).append(b)
+        return a, b
+    raise TypeError(f"not a regex node: {nd!r}")
 
 
 def _eclose(states: frozenset[int], eps) -> frozenset[int]:

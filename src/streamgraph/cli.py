@@ -64,6 +64,7 @@ def cmd_run(args) -> int:
             "slides": metrics.slides,
             "tuples_in": metrics.events_in,
             "tuples_out": metrics.emissions,
+            "gc_collections": metrics.gc_collections,
         }
         with open(args.metrics, "w") as mh:
             json.dump(doc, mh, indent=2)

@@ -7,7 +7,8 @@ invariant against exhaustive path enumeration, equivalence of direct
 expiry and synthesized expiry-deletions, explicit-deletion fuzzing,
 plan-rewrite soundness, automaton correctness, a desk-scale performance
 budget, set semantics of every coalesced stream, that all operator
-state drains once every tuple has expired, and reproducible outputs
+state drains once every tuple has expired, that compiling and running
+a plan leaves no reference cycles, and reproducible outputs
 (independent of the string-hash seed, and pinned per catalog shape).
 Time budgets are asserted inside the tests that carry one.
 
@@ -20,6 +21,7 @@ advertised state or output.
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -712,6 +714,33 @@ def test_all_state_drains_after_the_last_expiry(ops):
         pipe.watermark(10 ** 9)
         held = [(n.label, _held_state(n.stage)) for n in pipe.nodes]
         assert [(label, h) for label, h in held if h] == [], name
+
+
+def test_compiling_and_running_a_plan_creates_no_reference_cycles():
+    """run_stream keeps the cyclic collector mostly off the per-tuple
+    path, which is safe only while nothing there allocates cycles: with
+    the collector disabled, compiling and running each catalog shape and
+    dropping the pipeline leaves nothing for a collection to reclaim."""
+    events = _fuzz_events(seed=7, ops=600)
+    plans = {name: to_plan(parse_query(text, window=40, slide=5))
+             for name, text in TABLE_QUERIES.items()}
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    reclaimed = {}
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for name, plan in plans.items():
+            pipe = compile_plan(plan)
+            run_stream(pipe, events)
+            del pipe
+            reclaimed[name] = gc.collect()
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(flags)
+        if enabled:
+            gc.enable()
+    assert reclaimed == dict.fromkeys(TABLE_QUERIES, 0)
 
 
 # ------------------------------------------- 11. reproducible outputs

@@ -77,13 +77,16 @@ def test_run_metrics_json_has_the_flat_schema(tmp_path):
     ]) == 0
     doc = json.loads(mf.read_text())
     assert sorted(doc) == [
-        "p99_latency", "slides", "throughput", "tuples_in", "tuples_out",
+        "gc_collections", "p99_latency", "slides", "throughput", "tuples_in",
+        "tuples_out",
     ]
     assert doc["slides"] == 23
     assert doc["tuples_in"] == 8
     assert doc["tuples_out"] == 9
     assert doc["throughput"] > 0
     assert doc["p99_latency"] > 0
+    assert len(doc["gc_collections"]) == 3
+    assert all(n >= 0 for n in doc["gc_collections"])
 
 
 def test_run_payload_expanded_flattens_witnesses(tmp_path, capsys):

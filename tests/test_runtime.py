@@ -3,6 +3,7 @@ social-network example end to end, and determinism."""
 
 from __future__ import annotations
 
+import gc
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from streamgraph import algebra
 from streamgraph.model import EdgeEvent, Interval, StreamTuple
 from streamgraph.query import parse_query, to_plan
 from streamgraph.runtime import (
+    GC_GEN0_THRESHOLD,
     CompileError,
     Metrics,
     OutputSink,
@@ -331,18 +333,56 @@ def test_slide_count_covers_the_stream_span():
     assert len(m.slide_latencies) == 2
 
 
-def test_failing_stage_error_reaches_the_caller():
+def _closure_pipeline_failing_with(err):
     pipe = compile_plan(to_plan(parse_query("Answer(x, y) <- a+(x, y)", window=10, slide=5)))
     [path] = [n for n in pipe.nodes if n.label.startswith("path ")]
-    err = RuntimeError("stage failed")
 
     def fail(port, t, now):
         raise err
 
     path.stage.on_tuple = fail
+    return pipe
+
+
+def test_failing_stage_error_reaches_the_caller():
+    err = RuntimeError("stage failed")
     with pytest.raises(RuntimeError) as caught:
-        run_stream(pipe, events([("x", "y", "a", 1), ("y", "z", "a", 2)]))
+        run_stream(_closure_pipeline_failing_with(err),
+                   events([("x", "y", "a", 1), ("y", "z", "a", 2)]))
     assert caught.value is err
+
+
+@pytest.mark.parametrize("caller", [
+    pytest.param(lambda: None, id="default"),
+    pytest.param(lambda: gc.set_threshold(2 * GC_GEN0_THRESHOLD, 3, 4), id="higher"),
+    pytest.param(lambda: gc.set_threshold(0, 10, 10), id="threshold-0"),
+    pytest.param(gc.disable, id="disabled"),
+])
+def test_run_restores_the_callers_collector_state(caller):
+    """run_stream raises the generation-0 threshold for its own run only:
+    after a normal run and after a raising stage, the caller's thresholds
+    and enabled flag are back; a higher threshold, a threshold of 0 and
+    a disabled collector are left as the caller set them."""
+    saved = gc.get_threshold(), gc.isenabled()
+    try:
+        caller()
+        expect = gc.get_threshold(), gc.isenabled()
+        seen = []
+        evs = events([("x", "y", "a", 1), ("y", "z", "a", 2)])
+        pipe = compile_plan(to_plan(parse_query("Answer(x, y) <- a+(x, y)", window=10, slide=5)))
+        m = run_stream(pipe, evs, instants=[1],
+                       on_instant=lambda t: seen.append(gc.get_threshold()))
+        assert (gc.get_threshold(), gc.isenabled()) == expect
+        gen0 = expect[0][0] and max(expect[0][0], GC_GEN0_THRESHOLD)
+        assert seen == [(gen0, *expect[0][1:])]
+        assert len(m.gc_collections) == len(gc.get_stats())
+        with pytest.raises(RuntimeError, match="stage failed"):
+            run_stream(_closure_pipeline_failing_with(RuntimeError("stage failed")), evs)
+        assert (gc.get_threshold(), gc.isenabled()) == expect
+    finally:
+        gc.set_threshold(*saved[0])
+        if saved[1]:
+            gc.enable()
 
 
 def test_empty_stream_yields_zeroed_metrics():
