@@ -177,20 +177,14 @@ class Dfa:
         start: int,
         accepting: frozenset[int],
         transitions: dict[tuple[int, str], int],
-        alphabet: frozenset[str],
     ) -> None:
         self.start = start
         self.accepting = accepting
         self.transitions = transitions
-        self.alphabet = alphabet
         self.states = {start} | accepting
         for (s, _), t in transitions.items():
             self.states.add(s)
             self.states.add(t)
-        # label -> [(state, next_state)] for quick per-tuple iteration
-        self.by_label: dict[str, list[tuple[int, int]]] = {}
-        for (s, lab), t in sorted(transitions.items()):
-            self.by_label.setdefault(lab, []).append((s, t))
 
     def delta(self, state: int, label: str) -> int | None:
         return self.transitions.get((state, label))
@@ -215,7 +209,7 @@ def build_dfa(node) -> Dfa:
     nfa_start, nfa_accept, eps, sym = _thompson(node)
     dstart, daccepting, dtrans = _subset(nfa_start, nfa_accept, eps, sym)
     mstart, maccepting, mtrans = _hopcroft(dstart, daccepting, dtrans)
-    return _canonical(mstart, maccepting, mtrans, regex_alphabet(node))
+    return _canonical(mstart, maccepting, mtrans)
 
 
 def _thompson(node):
@@ -368,7 +362,7 @@ def _hopcroft(start, accepting, trans):
     return block_ids[block_of[start]], out_accepting, out_trans
 
 
-def _canonical(start, accepting, trans, alphabet) -> Dfa:
+def _canonical(start, accepting, trans) -> Dfa:
     labels = sorted({lab for (_, lab) in trans})
     order = {start: 0}
     queue = [start]
@@ -383,4 +377,4 @@ def _canonical(start, accepting, trans, alphabet) -> Dfa:
         (order[s], lab): order[t] for (s, lab), t in trans.items() if s in order and t in order
     }
     new_accepting = frozenset(order[s] for s in accepting if s in order)
-    return Dfa(0, new_accepting, new_trans, frozenset(alphabet))
+    return Dfa(0, new_accepting, new_trans)

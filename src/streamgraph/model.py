@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
 from operator import itemgetter
 from typing import Hashable
 
@@ -169,11 +168,6 @@ class StreamTuple(_Record):
             self.src, self.trg, self.label, self.interval, self.payload,
             -self.sign, self.origin,
         )
-
-
-def intern_name(name: str) -> str:
-    """Intern vertex/label names so tuple keys hash and compare fast."""
-    return sys.intern(name)
 
 
 class ExpiryIndex:

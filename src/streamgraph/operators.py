@@ -11,6 +11,10 @@ makes deletion cascades and interval corrections purely mechanical:
     path      origin = (op, root, vertex, state)
     coalesce  origin = fresh per advertised interval
 
+The join takes negative tuples through the same code as positive ones:
+where a positive is stored, a negative removes the stored entry, and
+either then probes the opposite side and cascades with its own sign.
+
 Scans remember nothing.  A scan stamps every event, deletions included,
 with the window of the event's own timestamp, so a deletion's interval
 is not its insertion's; the coalesce stage behind every scan cancels a
@@ -90,13 +94,13 @@ class FilterStage:
 
 
 class UnionStage:
-    """Merges any number of inputs, optionally relabeling them."""
+    """Merges any number of inputs under one label."""
 
-    def __init__(self, label: str | None):
+    def __init__(self, label: str):
         self.label = label
 
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
-        if self.label is None or t.label == self.label:
+        if t.label == self.label:
             return [t]
         return [
             StreamTuple(
@@ -257,6 +261,14 @@ class PatternStage:
     level where both its sides first meet or, for same-input equalities,
     on a per-port entry filter.  Output intervals are the intersection of
     all inputs (ts = max, exp = min) and must be non-empty.
+
+    Both signs take one flow.  A tuple of input k > 0 is stored in (or,
+    when negative, removed from) ``right[k]`` and probes ``left[k]``; a
+    tuple of input 0 starts a row at level 1.  A row at level k is stored
+    in or removed from ``left[k]``, probes ``right[k]`` and cascades every
+    match to level k + 1, where a row over all n inputs is projected with
+    the input's sign.  A negative of input k > 0 cascades with the tuple
+    that was stored for it.
     """
 
     def __init__(self, n: int, condition: JoinCondition, label: str):
@@ -309,116 +321,50 @@ class PatternStage:
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
         if not self._passes_local(port, t):
             return []
-        if self.n == 1:
-            row = Row((t,), t.interval, (t.origin,))
-            return [self._project(row, t.sign)]
         out: list[StreamTuple] = []
-        if t.sign > 0:
-            self._insert(port, t, now, out)
-        else:
-            self._delete(port, t, now, out)
-        return out
-
-    # Positive flow: store, probe the opposite table, cascade upward.
-
-    def _insert(self, port: int, t: StreamTuple, now: int, out: list[StreamTuple]) -> None:
         if port == 0:
-            self._insert_row(1, Row((t,), t.interval, (t.origin,)), now, out)
-            return
+            self._row(1, Row((t,), t.interval, (t.origin,)), t.sign, now, out)
+            return out
         key = self.right_key[port](t)
         table = self.right[port]
-        table.setdefault(key, {})[t.origin] = t
-        self.expiry.add(t.interval.end, (table, key, t.origin))
-        for row in self._probe_left(port, key, now):
-            self._extend(row, t, port, now, out)
+        sign = t.sign
+        if sign > 0:
+            table.setdefault(key, {})[t.origin] = t
+            self.expiry.add(t.interval.end, (table, key, t.origin))
+        else:
+            stored = _discard(table, key, t.origin)
+            if stored is None:
+                log.warning("join deletion of absent tuple %r ignored", t.origin)
+                return out
+            t = stored  # the cascade continues with what was stored
+        for row in _probe(self.left[port], key, now):
+            self._extend(row, t, port, sign, now, out)
+        return out
 
-    def _insert_row(self, level: int, row: Row, now: int, out: list[StreamTuple]) -> None:
+    def _row(self, level: int, row: Row, sign: int, now: int, out) -> None:
+        """Store (sign > 0) or discard a row over inputs 0..level-1, then
+        extend it by every live match of input ``level``."""
         if level == self.n:
-            out.append(self._project(row, 1))
+            out.append(self._project(row, sign))
             return
         key = self._left_key(level, row.tuples)
         table = self.left[level]
-        table.setdefault(key, {})[row.origins] = row
-        self.expiry.add(row.interval.end, (table, key, row.origins))
-        for t in self._probe_right(level, key, now):
-            self._extend(row, t, level, now, out)
-
-    def _extend(self, row: Row, t: StreamTuple, level: int, now: int, out) -> None:
-        iv = row.interval.intersect(t.interval)
-        if iv is None:
-            return
-        bigger = Row(row.tuples + (t,), iv, row.origins + (t.origin,))
-        self._insert_row(level + 1, bigger, now, out)
-
-    # Negative flow mirrors the positive one with removals and sign -1.
-
-    def _delete(self, port: int, t: StreamTuple, now: int, out: list[StreamTuple]) -> None:
-        if port == 0:
-            self._delete_row(1, Row((t,), t.interval, (t.origin,)), now, out)
-            return
-        key = self.right_key[port](t)
-        found = _discard(self.right[port], key, t.origin)
-        if found is None:
-            log.warning("join deletion of absent tuple %r ignored", t.origin)
-            return
-        for row in self._probe_left(port, key, now):
-            iv = row.interval.intersect(found.interval)
-            if iv is not None:
-                self._delete_row(
-                    port + 1,
-                    Row(row.tuples + (found,), iv, row.origins + (t.origin,)),
-                    now,
-                    out,
-                )
-
-    def _delete_row(self, level: int, row: Row, now: int, out: list[StreamTuple]) -> None:
-        if level == self.n:
-            out.append(self._project(row, -1))
-            return
-        key = self._left_key(level, row.tuples)
-        stored = _discard(self.left[level], key, row.origins)
-        if stored is None and level == 1:
+        if sign > 0:
+            table.setdefault(key, {})[row.origins] = row
+            self.expiry.add(row.interval.end, (table, key, row.origins))
+        elif _discard(table, key, row.origins) is None and level == 1:
             log.warning("join deletion of absent tuple %r ignored", row.origins)
             return
-        for t in self._probe_right(level, key, now):
-            iv = row.interval.intersect(t.interval)
-            if iv is not None:
-                self._delete_row(
-                    level + 1,
-                    Row(row.tuples + (t,), iv, row.origins + (t.origin,)),
-                    now,
-                    out,
-                )
+        for t in _probe(self.right[level], key, now):
+            self._extend(row, t, level, sign, now, out)
 
-    # Probes drop entries that can no longer match anything new.
-
-    def _probe_left(self, level: int, key: tuple, now: int) -> list[Row]:
-        table = self.left[level]
-        bucket = table.get(key)
-        if not bucket:
-            return []
-        live, dead = [], []
-        for origins, row in bucket.items():
-            (live if row.interval.end > now else dead).append((origins, row))
-        for origins, _ in dead:
-            del bucket[origins]
-        if not bucket:
-            del table[key]
-        return [row for _, row in live]
-
-    def _probe_right(self, level: int, key: tuple, now: int) -> list[StreamTuple]:
-        table = self.right[level]
-        bucket = table.get(key)
-        if not bucket:
-            return []
-        live, dead = [], []
-        for origin, t in bucket.items():
-            (live if t.interval.end > now else dead).append((origin, t))
-        for origin, _ in dead:
-            del bucket[origin]
-        if not bucket:
-            del table[key]
-        return [t for _, t in live]
+    def _extend(
+        self, row: Row, t: StreamTuple, level: int, sign: int, now: int, out
+    ) -> None:
+        iv = row.interval.intersect(t.interval)
+        if iv is not None:
+            bigger = Row(row.tuples + (t,), iv, row.origins + (t.origin,))
+            self._row(level + 1, bigger, sign, now, out)
 
     def on_watermark(self, w: int) -> None:
         for table, key, origin in self.expiry.expired(w):
@@ -433,6 +379,19 @@ def _fields_getter(fields: list[str]):
         get = attrgetter(fields[0])
         return lambda t: (get(t),)
     return attrgetter(*fields) if fields else lambda t: ()
+
+
+def _probe(table: dict, key: tuple, now: int) -> list:
+    """The live entries of one join bucket; entries that can no longer
+    match anything new are dropped on the way, and the bucket once empty."""
+    bucket = table.get(key)
+    if not bucket:
+        return []
+    for origin in [o for o, e in bucket.items() if e.interval.end <= now]:
+        del bucket[origin]
+    if not bucket:
+        del table[key]
+    return list(bucket.values())
 
 
 def _discard(table: dict, key: tuple, origin):

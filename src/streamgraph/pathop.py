@@ -358,7 +358,7 @@ class PathStage:
     # Slide-boundary sweep; drops only state that ended at or before the
     # watermark, silently, in end order and then filing order.
 
-    def purge(self, w: int) -> None:
+    def on_watermark(self, w: int) -> None:
         touched: set[str] = set()
         for root, pair in self.node_expiry.expired(w):
             tree = self.trees.get(root)
@@ -395,6 +395,3 @@ class PathStage:
         if t.sign > 0:
             return self.insert(t, now)
         return self.delete(t, now)
-
-    def on_watermark(self, w: int) -> None:
-        self.purge(w)

@@ -1,12 +1,13 @@
 """Plan compilation and the streaming executor.
 
 A logical plan compiles into a tree of push-based stages.  Tuples flow
-one at a time from label-bound scans toward the sink; watermarks flow
-along the same edges and are merged with min semantics at multi-input
-stages.  The driver stamps every record with the current event time,
-fires a watermark whenever the stream crosses a slide boundary (before
-the first record of the new slide) and once more at the end, and keeps
-per-slide wall-clock latencies for the metrics report.
+one at a time from label-bound scans toward the sink.  The driver stamps
+every record with the current event time, fires a watermark whenever the
+stream crosses a slide boundary (before the first record of the new
+slide) and once more at the end, and keeps per-slide wall-clock
+latencies for the metrics report.  A watermark is one purge pass: the
+pipeline hands it to every stage once, and since expired state vanishes
+silently, no stage emits anything in it and the order does not matter.
 
 Set semantics are restored by a coalescing stage placed behind every
 operator that can produce value-equivalent overlapping tuples: scans,
@@ -60,13 +61,11 @@ class StreamOrderError(ValueError):
 class PipeNode:
     """One stage instance wired into the dataflow tree."""
 
-    def __init__(self, stage, parent: PipeNode | None, port: int, nports: int, label: str):
+    def __init__(self, stage, parent: PipeNode | None, port: int, label: str):
         self.stage = stage
         self.parent = parent
         self.port = port
         self.label = label
-        self.wms = [float("-inf")] * nports
-        self.effective = float("-inf")
         self.tap: list[StreamTuple] | None = None
 
     def push(self, port: int, t, now: int) -> None:
@@ -76,24 +75,6 @@ class PipeNode:
         if self.parent is not None:
             for o in outs:
                 self.parent.push(self.port, o, now)
-
-    def watermark(self, port: int, w: int) -> None:
-        """Merge one per-port watermark and, if the effective (minimum)
-        one moved, purge and forward it.  A regression is a contract bug."""
-        if w < self.wms[port]:
-            raise StreamOrderError(
-                f"watermark regressed from {self.wms[port]} to {w} at {self.label}"
-            )
-        if w == self.wms[port]:
-            return
-        self.wms[port] = w
-        eff = min(self.wms)
-        if eff <= self.effective:
-            return
-        self.effective = eff
-        self.stage.on_watermark(eff)
-        if self.parent is not None:
-            self.parent.watermark(self.port, eff)
 
 
 class OutputSink:
@@ -149,6 +130,7 @@ class Pipeline:
         self.sink = OutputSink()
         self.sources: dict[str, list[PipeNode]] = {}
         self.nodes: list[PipeNode] = []
+        self._last_watermark = float("-inf")
         self.slide = min(
             (n.slide for n in algebra.walk(plan)
              if isinstance(n, algebra.Window)
@@ -156,19 +138,19 @@ class Pipeline:
             default=1,
         )
         self._ids = 0
-        self._build(plan, self._add(self.sink, None, 0, 1, "sink"), 0)
+        self._build(plan, self._add(self.sink, None, 0, "sink"), 0)
 
     def _next_id(self) -> int:
         self._ids += 1
         return self._ids
 
-    def _add(self, stage, parent: PipeNode | None, port: int, nports: int, label: str) -> PipeNode:
-        node = PipeNode(stage, parent, port, nports, label)
+    def _add(self, stage, parent: PipeNode | None, port: int, label: str) -> PipeNode:
+        node = PipeNode(stage, parent, port, label)
         self.nodes.append(node)
         return node
 
     def _coalesce(self, parent: PipeNode, port: int, lbl: str) -> PipeNode:
-        return self._add(CoalesceStage(self._next_id()), parent, port, 1, f"coalesce {lbl}")
+        return self._add(CoalesceStage(self._next_id()), parent, port, f"coalesce {lbl}")
 
     def _build(self, node, parent: PipeNode, port: int, window=None) -> None:
         """Compile ``node`` below ``parent``.  ``window`` is the (size,
@@ -187,13 +169,13 @@ class Pipeline:
             if window is None:
                 window = (math.inf, 1) if node.size is None else (node.size, node.slide)
                 parent, port = self._coalesce(parent, port, lbl), 0
-            entry = self._add(WindowScan(*window), parent, port, 1, f"wscan {lbl}")
+            entry = self._add(WindowScan(*window), parent, port, f"wscan {lbl}")
             self.sources.setdefault(node.label, []).append(entry)
         elif isinstance(node, algebra.Window):
             co = self._coalesce(parent, port, lbl)
             self._build(node.child, co, 0, (node.size, node.slide))
         elif isinstance(node, algebra.Filter):
-            entry = self._add(FilterStage(node.predicate), parent, port, 1, f"filter {lbl}")
+            entry = self._add(FilterStage(node.predicate), parent, port, f"filter {lbl}")
             self._build(node.child, entry, 0, window)
         elif isinstance(node, (algebra.Union, algebra.Pattern, algebra.Path)):
             kids = node.children
@@ -207,7 +189,7 @@ class Pipeline:
                     build_dfa(node.regex), node.label, self._next_id(), self.payload
                 )
                 kind = "path"
-            entry = self._add(stage, co, 0, len(kids), f"{kind} {lbl}")
+            entry = self._add(stage, co, 0, f"{kind} {lbl}")
             for i, kid in enumerate(kids):
                 self._build(kid, entry, i, window)
         else:
@@ -229,9 +211,15 @@ class Pipeline:
             src.push(0, e, e.ts)
 
     def watermark(self, w: int) -> None:
-        for nodes in self.sources.values():
-            for src in nodes:
-                src.watermark(0, w)
+        """Purge every stage once up to ``w``; a regression is a contract
+        bug."""
+        if w < self._last_watermark:
+            raise StreamOrderError(
+                f"watermark regressed from {self._last_watermark} to {w}"
+            )
+        self._last_watermark = w
+        for node in self.nodes:
+            node.stage.on_watermark(w)
 
 
 @dataclass

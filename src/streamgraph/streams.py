@@ -19,9 +19,10 @@ by ``;`` (``-`` when empty).
 from __future__ import annotations
 
 import random
+import sys
 from typing import Iterable, TextIO
 
-from streamgraph.model import EdgeEvent, StreamTuple, intern_name
+from streamgraph.model import EdgeEvent, StreamTuple
 
 
 class StreamFormatError(ValueError):
@@ -56,7 +57,8 @@ def read_edge_stream(lines: Iterable[str]) -> list[EdgeEvent]:
                 f"line {ln}: timestamp {ts} decreases below {prev_ts}"
             )
         prev_ts = ts
-        src, trg, label = intern_name(src), intern_name(trg), intern_name(label)
+        # interned names make tuple keys hash and compare fast
+        src, trg, label = sys.intern(src), sys.intern(trg), sys.intern(label)
         uid = len(events)
         key = (src, trg, label)
         if sign == "+":
@@ -109,7 +111,7 @@ def generate_synthetic(
     if vertices < 2:
         raise ValueError("need at least two vertices")
     rng = random.Random(seed)
-    names = [intern_name(f"v{i}") for i in range(vertices)]
+    names = [sys.intern(f"v{i}") for i in range(vertices)]
     out: list[EdgeEvent] = []
     for i in range(edges):
         ts = int(i / rate)

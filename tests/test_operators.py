@@ -293,8 +293,9 @@ def chain_condition(n):
 
 
 def nested_loop_join(inputs: list[list[StreamTuple]], cond, label):
-    """Reference: try every combination of currently live inputs."""
-    out = set()
+    """Reference: try every combination of currently live inputs; maps
+    each match's origins to its (src, trg, interval)."""
+    out = {}
     for combo in itertools.product(*inputs):
         ok = all(
             _val(combo, a) == _val(combo, b) for a, b in cond.equalities
@@ -306,7 +307,9 @@ def nested_loop_join(inputs: list[list[StreamTuple]], cond, label):
             iv = iv.intersect(t.interval) if iv else None
         if iv is None:
             continue
-        out.add((_val(combo, cond.out_src), _val(combo, cond.out_trg), iv))
+        out[tuple(t.origin for t in combo)] = (
+            _val(combo, cond.out_src), _val(combo, cond.out_trg), iv
+        )
     return out
 
 
@@ -458,28 +461,34 @@ def test_join_watermark_leaves_unexpired_keys_untouched():
 
 
 @st.composite
-def join_scenarios(draw):
-    n = draw(st.integers(2, 3))
-    verts = ["a", "b", "c", "d"]
-    inputs = []
+def join_scenarios(draw, deletions=False):
+    """(n, inputs, deletes): n inputs of random tuples and, with
+    ``deletions``, (time, port, tuple) deletions of some of them, from
+    any port and at or after the insertion, expired or not."""
+    n = draw(st.integers(1 if deletions else 2, 3))
+    # with deletions, denser inputs, so that most of them retract matches
+    verts = ["a", "b"] if deletions else ["a", "b", "c", "d"]
+    inputs, deletes = [], []
     origin = itertools.count()
     for i in range(n):
-        k = draw(st.integers(0, 4))
+        k = draw(st.integers(int(deletions), 4))
         batch = []
         for _ in range(k):
             s, t = draw(st.sampled_from(verts)), draw(st.sampled_from(verts))
-            ts = draw(st.integers(0, 12))
+            ts = draw(st.integers(0, 3 if deletions else 12))
             batch.append(
                 sgt(s, t, f"l{i}", ts, ts + draw(st.integers(1, 10)), next(origin))
             )
+            if deletions and draw(st.booleans()):
+                deletes.append((ts + draw(st.integers(0, 10)), i, batch[-1]))
         inputs.append(batch)
-    return n, inputs
+    return n, inputs, deletes
 
 
 @settings(max_examples=120, deadline=None)
 @given(join_scenarios())
 def test_join_matches_nested_loop_reference(scenario):
-    n, inputs = scenario
+    n, inputs, _ = scenario
     cond = chain_condition(n)
     j = PatternStage(n, cond, "J")
     feed = sorted(
@@ -491,5 +500,37 @@ def test_join_matches_nested_loop_reference(scenario):
         for o in j.on_tuple(port, t, t.ts):
             assert o.sign > 0
             got.add((o.src, o.trg, o.interval))
-    want = nested_loop_join(inputs, cond, "J")
+    want = set(nested_loop_join(inputs, cond, "J").values())
     assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(join_scenarios(deletions=True))
+def test_join_deletions_match_nested_loop_reference(scenario):
+    """Replayed by origin, every retraction cancels a live prior
+    positive, and the net result is the join of the surviving inputs,
+    plus only results that had expired before one of their inputs was
+    deleted: expiry is silent, so those are never retracted."""
+    n, inputs, deletes = scenario
+    cond = chain_condition(n)
+    j = PatternStage(n, cond, "J")
+    # insertions first at equal times, each event in drawing order
+    feed = sorted(
+        [(t.ts, 0, port, t) for port, batch in enumerate(inputs) for t in batch]
+        + [(d, 1, port, t.negated()) for d, port, t in deletes],
+        key=lambda e: e[:2],
+    )
+    net: dict = {}
+    for now, _, port, t in feed:
+        for o in j.on_tuple(port, t, now):
+            if o.sign > 0:
+                net[o.origin] = (o.src, o.trg, o.interval)
+            else:
+                assert net.pop(o.origin) == (o.src, o.trg, o.interval)
+    deleted_at = {t.origin: d for d, _, t in deletes}
+    survivors = [[t for t in batch if t.origin not in deleted_at] for batch in inputs]
+    want = nested_loop_join(survivors, cond, "J")
+    assert {o: v for o, v in net.items() if o in want} == want
+    for origins, (_, _, iv) in net.items():
+        if origins not in want:
+            assert any(iv.end <= deleted_at.get(o, -1) for o in origins)

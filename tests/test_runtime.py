@@ -16,7 +16,6 @@ from streamgraph.runtime import (
     CompileError,
     Metrics,
     OutputSink,
-    PipeNode,
     StreamOrderError,
     compile_plan,
     net_results,
@@ -152,34 +151,36 @@ def test_tap_on_unknown_label_raises():
 # ------------------------------------------------------------------ plumbing
 
 
-class _Probe:
-    def __init__(self):
+class _Recording:
+    """Stage proxy that records the watermarks its stage is given."""
+
+    def __init__(self, stage):
+        self.stage = stage
         self.seen = []
 
     def on_tuple(self, port, t, now):
-        return []
+        return self.stage.on_tuple(port, t, now)
 
     def on_watermark(self, w):
         self.seen.append(w)
+        self.stage.on_watermark(w)
 
 
-def test_watermarks_merge_with_min_across_ports():
-    stage = _Probe()
-    node = PipeNode(stage, None, 0, 2, "probe")
-    node.watermark(0, 5)
-    assert stage.seen == []  # other port still unbounded
-    node.watermark(1, 3)
-    assert stage.seen == [3]
-    node.watermark(1, 3)  # repeat is a no-op
-    node.watermark(1, 7)
-    assert stage.seen == [3, 5]
-
-
-def test_watermark_regression_is_rejected():
-    node = PipeNode(_Probe(), None, 0, 1, "probe")
-    node.watermark(0, 5)
-    with pytest.raises(StreamOrderError):
-        node.watermark(0, 4)
+def test_pipeline_watermark_reaches_every_stage_once():
+    union = algebra.Union((algebra.Wscan("a", 10, 2), algebra.Wscan("b", 10, 2)), "D")
+    cond = algebra.JoinCondition(
+        ((algebra.Pos(0, "trg"), algebra.Pos(1, "src")),),
+        algebra.Pos(0, "src"), algebra.Pos(1, "trg"),
+    )
+    plan = algebra.Pattern((union, algebra.Wscan("c", 10, 2)), cond, "J")
+    pipe = compile_plan(plan)
+    kinds = [n.label.split()[0] for n in pipe.nodes]
+    assert kinds.count("pattern") == 1 and kinds.count("union") == 1
+    # swapped after compile, as an outside tracer does
+    for node in pipe.nodes:
+        node.stage = _Recording(node.stage)
+    pipe.watermark(5)
+    assert [n.stage.seen for n in pipe.nodes] == [[5]] * len(pipe.nodes)
 
 
 def test_pipeline_rejects_regressing_watermarks():
