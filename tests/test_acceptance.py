@@ -804,13 +804,29 @@ PINNED_OUTPUTS = {
 }
 
 
+# ordered signed emission log digest (``_log_digest``, origins included)
+# of every catalog shape over the same stream, in the "derived" and
+# "expanded" payload modes
+PINNED_LOG_DIGESTS = {
+    "closure": ("921318bb2faca4ca", "921318bb2faca4ca"),
+    "step_closure": ("22f1ba88c6a0caa0", "22f1ba88c6a0caa0"),
+    "union_closures": ("f853ca1167c9e3a3", "f853ca1167c9e3a3"),
+    "chain_closure": ("31842909ea4ba6c6", "2e750228a98b2ba6"),
+    "square": ("ac0c31613770c522", "ac0c31613770c522"),
+    "guarded_closure": ("779e3108ea09f52d", "779e3108ea09f52d"),
+    "nested_closure": ("23cbaebb72b8728b", "b045e6ce7c8bb547"),
+    "siblings_closure": ("930076e32fd649be", "528a2b764872b83e"),
+}
+
+
 def test_catalog_outputs_are_pinned():
-    """A speed-up must not change what the engine emits, and hoisting the
+    """A speed-up must not change what the engine emits, nor in what
+    order, with which payloads or under which origins, and hoisting the
     windows toward the root must not either.  When a change alters
     semantics on purpose (say, what ``*`` means), update these
     values deliberately in that change and say why."""
     events = _fuzz_events(seed=7, ops=3000)
-    got, hoisted = {}, {}
+    got, hoisted, logs = {}, {}, {}
     for name, text in TABLE_QUERIES.items():
         plan = to_plan(parse_query(text, window=40, slide=5))
         variants = ((got, plan), (hoisted, algebra.rewrite_window_filter(plan, "up")))
@@ -818,5 +834,11 @@ def test_catalog_outputs_are_pinned():
             pipe = compile_plan(variant)
             run_stream(pipe, events)
             out[name] = (len(pipe.sink.log), _net_digest(pipe.sink.results()))
+            logs.setdefault(name, []).append(_log_digest(pipe.sink.log))
+        pipe = compile_plan(plan, payload="expanded")
+        run_stream(pipe, events)
+        logs[name].append(_log_digest(pipe.sink.log))
     assert got == PINNED_OUTPUTS
     assert hoisted == PINNED_OUTPUTS
+    # derived plan, derived hoisted plan, expanded plan
+    assert logs == {n: [d, d, e] for n, (d, e) in PINNED_LOG_DIGESTS.items()}
