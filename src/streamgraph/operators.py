@@ -142,7 +142,9 @@ class CoalesceStage:
     merged intervals are diffed against what was previously advertised,
     and only the difference is emitted (retract, then replace).  A key
     with at most one contribution and one advertisement, by far the
-    common case, skips the merge: the two are compared directly.
+    common case, skips the merge: the two are compared directly.  A
+    positive for a key with neither is stored and advertised at once,
+    with no diff at all.
     """
 
     def __init__(self, op_id: int):
@@ -161,8 +163,15 @@ class CoalesceStage:
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
         key = t.key
         if t.sign > 0:
-            self.contribs.setdefault(key, {})[t.origin] = (t.interval, t.payload)
-            self.expiry.add(t.interval.end, key)
+            iv = t.interval
+            self.expiry.add(iv.end, key)
+            if key not in self.contribs and key not in self.advertised:
+                # a lone key: the contribution is advertised as it is
+                self.contribs[key] = {t.origin: (iv, t.payload)}
+                origin = self._fresh()
+                self.advertised[key] = [(origin, iv, t.payload)]
+                return [StreamTuple(t.src, t.trg, t.label, iv, t.payload, 1, origin=origin)]
+            self.contribs.setdefault(key, {})[t.origin] = (iv, t.payload)
         elif self.contribs.get(key, {}).pop(t.origin, None) is None:
             log.warning("retraction for unknown contribution %r ignored", t.origin)
             return []
@@ -221,18 +230,28 @@ class CoalesceStage:
         for key in set(self.expiry.expired(w)):
             per_key = self.contribs.get(key)
             if per_key is not None:
-                live = {o: e for o, e in per_key.items() if e[0].end > w}
-                if live:
-                    self.contribs[key] = live
+                if len(per_key) == 1:
+                    # the common lone contribution is checked in place
+                    ((iv, _),) = per_key.values()
+                    if iv.end <= w:
+                        del self.contribs[key]
                 else:
-                    del self.contribs[key]
+                    live = {o: e for o, e in per_key.items() if e[0].end > w}
+                    if live:
+                        self.contribs[key] = live
+                    else:
+                        del self.contribs[key]
             adverts = self.advertised.get(key)
             if adverts is not None:
-                live = [e for e in adverts if e[1].end > w]
-                if live:
-                    self.advertised[key] = live
+                if len(adverts) == 1:
+                    if adverts[0][1].end <= w:
+                        del self.advertised[key]
                 else:
-                    del self.advertised[key]
+                    live = [e for e in adverts if e[1].end > w]
+                    if live:
+                        self.advertised[key] = live
+                    else:
+                        del self.advertised[key]
 
 
 def pos_value(tuples: tuple[StreamTuple, ...], pos: Pos):

@@ -30,14 +30,22 @@ search seeded from the intact remainder of the tree (largest expiry
 first, ties by smaller start, then vertex, then state).  Reattached
 nodes keep their identity; unreachable nodes are removed and, when
 accepting, retracted.
+
+Every node caches the payload of its witness path, stamped with the
+version of its tree; the tree's version goes up on every re-parent,
+which is the only way an existing node's path can change, and a stale
+stamp makes the payload be rebuilt from the nearest ancestor whose stamp
+is current.  Nothing else can leave a stale cache behind: a new node is
+a leaf, a removed node takes its subtree with it, and since no node
+outlives its parent (child.exp <= parent.exp), an expired node's subtree
+expires with it.  So a result costs one new payload tuple, one hop
+longer than its parent's, which siblings share.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
-from dataclasses import dataclass, field
-
 from streamgraph.automata import Dfa
 from streamgraph.model import ExpiryIndex, Interval, StreamTuple
 
@@ -46,19 +54,31 @@ log = logging.getLogger(__name__)
 Pair = tuple[str, int]
 
 
-@dataclass(slots=True)
 class TreeNode:
-    vertex: str
-    state: int
-    ts: float
-    exp: float
-    parent: Pair | None = None
-    via: StreamTuple | None = None
-    children: set[Pair] = field(default_factory=set)
+    """A (vertex, state) pair of one spanning tree, with its widest
+    interval and witness: the edge ``via`` from ``parent``.  ``payload``
+    is the witness path's payload when ``pver`` equals the tree's
+    version."""
 
-    @property
-    def pair(self) -> Pair:
-        return (self.vertex, self.state)
+    __slots__ = (
+        "vertex", "state", "pair", "ts", "exp", "parent", "via", "children",
+        "payload", "pver",
+    )
+
+    def __init__(
+        self, vertex: str, state: int, ts: float, exp: float,
+        parent: Pair | None = None, via: StreamTuple | None = None,
+    ) -> None:
+        self.vertex = vertex
+        self.state = state
+        self.pair: Pair = (vertex, state)
+        self.ts = ts
+        self.exp = exp
+        self.parent = parent
+        self.via = via
+        self.children: set[Pair] = set()
+        self.payload: tuple = ()
+        self.pver = -1
 
 
 class SpanningTree:
@@ -68,6 +88,8 @@ class SpanningTree:
         self.nodes: dict[Pair, TreeNode] = {
             self.root_pair: TreeNode(root, start_state, float("-inf"), float("inf"))
         }
+        # bumped on every re-parent; stamps cached payloads
+        self.version = 0
 
 
 class PathStage:
@@ -122,6 +144,7 @@ class PathStage:
         node.parent = parent
         node.via = via
         tree.nodes[parent].children.add(node.pair)
+        tree.version += 1
 
     def _remove_node(self, tree: SpanningTree, pair: Pair) -> None:
         node = tree.nodes.pop(pair, None)
@@ -149,17 +172,22 @@ class PathStage:
             stack.extend(node.children)
             self._remove_node(tree, p)
 
-    def _path_payload(self, tree: SpanningTree, pair: Pair):
-        hops: list[StreamTuple] = []
-        cur = pair
-        while cur != tree.root_pair:
-            node = tree.nodes[cur]
-            hops.append(node.via)
-            cur = node.parent
-        hops.reverse()
-        if self.payload_mode == "derived":
-            return tuple((h.src, h.label, h.trg) for h in hops)
-        return tuple(p for h in hops for p in h.payload)
+    def _path_payload(self, tree: SpanningTree, node: TreeNode) -> tuple:
+        """The payload of node's witness path, from the nearest cached
+        ancestor (the root's payload is empty), caching it on the way."""
+        version = tree.version
+        chain: list[TreeNode] = []
+        while node.pver != version and node.parent is not None:
+            chain.append(node)
+            node = tree.nodes[node.parent]
+        payload = node.payload
+        derived = self.payload_mode == "derived"
+        for node in reversed(chain):
+            h = node.via
+            payload += ((h.src, h.label, h.trg),) if derived else h.payload
+            node.payload = payload
+            node.pver = version
+        return payload
 
     def _result(self, tree: SpanningTree, node: TreeNode, sign: int) -> StreamTuple:
         return StreamTuple(
@@ -167,7 +195,7 @@ class PathStage:
             node.vertex,
             self.label,
             Interval(node.ts, node.exp),
-            self._path_payload(tree, node.pair) if sign > 0 else (),
+            self._path_payload(tree, node) if sign > 0 else (),
             sign,
             origin=("p", self.op_id, tree.root, node.vertex, node.state),
         )
@@ -206,48 +234,61 @@ class PathStage:
         """Offer edge t out of a live node, then expand every node whose
         interval grows over all of its out-edges.  The other edges out of
         a node whose interval did not grow are no-ops: live nodes keep
-        child.exp >= min(node.exp, e.exp) for every live edge e."""
+        child.exp >= min(node.exp, e.exp) for every live edge e.
+
+        An offer of edge e adds the child it reaches or, when its
+        interval grows, re-parents it; either way the child is emitted
+        when accepting and pushed for expansion."""
+        nodes = tree.nodes
+        root, root_pair = tree.root, tree.root_pair
+        accepting = self.dfa.accepting
+        label, op_id = self.label, self.op_id
+        out_trans, adj = self.out_trans, self.adj
         stack: list[Pair] = []
-        self._offer(tree, node, t, t2, now, out, stack)
-        adj = self.adj
-        while stack:
-            node = tree.nodes.get(stack.pop())
-            if node is None or node.exp <= now:
-                continue
-            for lab, t2 in self.out_trans.get(node.state, ()):
+        offers = (((t,), t2),)
+        while True:
+            ts, exp = node.ts, node.exp
+            for edges, t2 in offers:
+                for e in edges:
+                    e_ts, e_exp = e.interval
+                    cand_exp = e_exp if e_exp < exp else exp
+                    if cand_exp <= now:
+                        continue
+                    cand_ts = e_ts if e_ts > ts else ts
+                    child_pair = (e.trg, t2)
+                    child = nodes.get(child_pair)
+                    if child is not None and child.exp <= now:
+                        self._drop_subtree(tree, child_pair)
+                        child = None
+                    if child is None:
+                        child = TreeNode(e.trg, t2, cand_ts, cand_exp, node.pair, e)
+                        self._add_node(tree, child)
+                    elif child.exp < cand_exp:
+                        self._set_parent(tree, child, node.pair, e)
+                        child.exp = cand_exp
+                        if cand_ts < child.ts:
+                            child.ts = cand_ts
+                        self.node_expiry.add(cand_exp, (root, child_pair))
+                    else:
+                        continue
+                    if t2 in accepting and child_pair != root_pair:
+                        out.append(StreamTuple(
+                            root, e.trg, label, Interval(child.ts, cand_exp),
+                            self._path_payload(tree, child), 1,
+                            origin=("p", op_id, root, e.trg, t2),
+                        ))
+                    stack.append(child_pair)
+            while True:
+                if not stack:
+                    return
+                node = nodes.get(stack.pop())
+                if node is not None and node.exp > now:
+                    break
+            offers = []
+            for lab, t2 in out_trans.get(node.state, ()):
                 bucket = adj.get(lab, {}).get(node.vertex)
                 if bucket:
-                    for e in bucket.values():
-                        self._offer(tree, node, e, t2, now, out, stack)
-
-    def _offer(
-        self, tree: SpanningTree, node: TreeNode, e: StreamTuple, t2: int,
-        now: int, out, stack: list[Pair],
-    ) -> None:
-        """Relax edge e out of a live node; the child it reaches is pushed
-        onto the stack when its interval grew."""
-        cand_exp = min(node.exp, e.exp)
-        if cand_exp <= now:
-            return
-        cand_ts = max(node.ts, e.ts)
-        child_pair = (e.trg, t2)
-        child = tree.nodes.get(child_pair)
-        if child is not None and child.exp <= now:
-            self._drop_subtree(tree, child_pair)
-            child = None
-        if child is None:
-            child = TreeNode(e.trg, t2, cand_ts, cand_exp, parent=node.pair, via=e)
-            self._add_node(tree, child)
-        elif child.exp < cand_exp:
-            self._set_parent(tree, child, node.pair, e)
-            child.exp = cand_exp
-            child.ts = min(child.ts, cand_ts)
-            self.node_expiry.add(child.exp, (tree.root, child_pair))
-        else:
-            return
-        if t2 in self.dfa.accepting and child_pair != tree.root_pair:
-            out.append(self._result(tree, child, 1))
-        stack.append(child_pair)
+                    offers.append((bucket.values(), t2))
 
     # Deletion: non-tree edges only leave the adjacency; tree edges sever
     # a subtree that is then reattached by a widest-expiry search.

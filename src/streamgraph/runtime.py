@@ -69,12 +69,16 @@ class PipeNode:
         self.tap: list[StreamTuple] | None = None
 
     def push(self, port: int, t, now: int) -> None:
+        # self.stage is looked up per call: tracing swaps it after compile
         outs = self.stage.on_tuple(port, t, now)
+        if not outs:
+            return
         if self.tap is not None:
             self.tap.extend(outs)
-        if self.parent is not None:
+        parent = self.parent
+        if parent is not None:
             for o in outs:
-                self.parent.push(self.port, o, now)
+                parent.push(self.port, o, now)
 
 
 class OutputSink:
