@@ -163,12 +163,6 @@ class StreamTuple(_Record):
     def exp(self) -> float:
         return self.interval.end
 
-    def negated(self) -> StreamTuple:
-        return StreamTuple(
-            self.src, self.trg, self.label, self.interval, self.payload,
-            -self.sign, self.origin,
-        )
-
 
 class ExpiryIndex:
     """Calendar of expiry hints keyed by end value.

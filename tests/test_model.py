@@ -70,19 +70,9 @@ def test_stream_tuple_equality_and_hash_ignore_origin():
         StreamTuple("u", "v", "b", Interval(0, 5), a.payload, 1),
         StreamTuple("u", "v", "a", Interval(0, 6), a.payload, 1),
         StreamTuple("u", "v", "a", Interval(0, 5), (), 1),
-        a.negated(),
+        StreamTuple("u", "v", "a", Interval(0, 5), a.payload, -1),
     ):
         assert a != other
-
-
-def test_negated_flips_only_the_sign():
-    t = StreamTuple("u", "v", "a", Interval(3, 9), (("u", "a", "v"),), 1, origin=("o", 7))
-    neg = t.negated()
-    assert neg.sign == -1 and neg.negated().sign == 1
-    assert (neg.src, neg.trg, neg.label) == (t.src, t.trg, t.label)
-    assert neg.interval == t.interval
-    assert neg.payload == t.payload
-    assert neg.origin == t.origin
 
 
 def test_edge_event_equality_covers_every_field():

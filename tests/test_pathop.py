@@ -243,7 +243,7 @@ def test_insert_then_delete_equals_never_inserted():
         a.on_tuple(0, t, t.ts)
         if t.origin != 9:
             b.on_tuple(0, t, t.ts)
-    a.on_tuple(0, extra.negated(), 4)
+    a.on_tuple(0, sgt("u", "q", "b", 1, 27, 9, sign=-1), 4)
     assert {r: tree_table(a, r) for r in a.trees} == {
         r: tree_table(b, r) for r in b.trees
     }
@@ -285,6 +285,84 @@ def test_purge_is_silent_and_idempotent():
     st.on_watermark(10)
     st.on_watermark(12)
     assert "r" not in st.trees
+
+
+# cached witness payloads
+
+
+def walk_payload(st, tree, node):
+    """Reference payload: a fresh walk up the parent chain."""
+    hops = []
+    while node.parent is not None:
+        hops.append(node.via)
+        node = tree.nodes[node.parent]
+    hops.reverse()
+    if st.payload_mode == "derived":
+        return tuple((h.src, h.label, h.trg) for h in hops)
+    return tuple(p for h in hops for p in h.payload)
+
+
+def assert_payloads_fresh(st, now):
+    """Every live accepting node's payload equals the fresh walk."""
+    for root, tree in st.trees.items():
+        for pair, node in tree.nodes.items():
+            if (pair != tree.root_pair and node.exp > now
+                    and node.state in st.dfa.accepting):
+                want = walk_payload(st, tree, node)
+                assert st._path_payload(tree, node) == want, (root, pair)
+
+
+def test_reparenting_refreshes_cached_payloads_below():
+    st = stage()
+    for i, (s, d, ts, exp) in enumerate(TRACE_EDGES):
+        st.on_tuple(0, sgt(s, d, "RL", ts, exp, origin=i), ts)
+        assert_payloads_fresh(st, ts)
+    # (u,1) moved from under (z,1) to under (y,1) after (s,1) below it
+    # was cached; both now follow the wider path
+    tree = st.trees["x"]
+    assert st._path_payload(tree, tree.nodes[("s", 1)]) == (
+        ("x", "RL", "y"), ("y", "RL", "u"), ("u", "RL", "s"))
+
+
+def test_repair_refreshes_cached_payloads_below():
+    st = stage("a+", "P", payload="expanded")
+    for o, (s, d, exp) in enumerate([("r", "a", 30), ("a", "b", 25), ("b", "c", 25),
+                                     ("r", "x", 20), ("x", "b", 20)]):
+        st.on_tuple(0, sgt(s, d, "a", 0, exp, o, payload=((f"p{o}", "e", "q"),)), 0)
+    assert_payloads_fresh(st, 0)
+    out = st.on_tuple(0, sgt("a", "b", "a", 0, 25, 1, sign=-1), 5)
+    assert_payloads_fresh(st, 5)
+    rc = [t.payload for t in out if (t.src, t.trg, t.sign) == ("r", "c", 1)]
+    assert rc == [(("p3", "e", "q"), ("p4", "e", "q"), ("p2", "e", "q"))]
+
+
+@pytest.mark.parametrize("payload", ["derived", "expanded"])
+@pytest.mark.parametrize("regex", ["a+", "(a.b)+", "(a|b)+"])
+def test_cached_payloads_match_parent_chain_walk(regex, payload):
+    """Seeded insert/delete streams whose edges expire between slide
+    boundaries (watermarks every 5 instants)."""
+    for trial in range(6):
+        rng = random.Random(100 * trial + zlib.crc32(regex.encode()) % 100)
+        st = stage(regex, "P", payload=payload)
+        verts = [f"n{i}" for i in range(rng.randint(3, 6))]
+        live, now, wm = {}, 0, 0
+        for op in range(80):
+            now += rng.randint(0, 2)
+            if now // 5 * 5 > wm:
+                wm = now // 5 * 5
+                st.on_watermark(wm)
+            live = {o: t for o, t in live.items() if t.exp > now}
+            if live and rng.random() < 0.3:
+                o = rng.choice(sorted(live))
+                st.on_tuple(0, live.pop(o), now)
+            else:
+                s, d = rng.sample(verts, 2)
+                lab, exp = rng.choice("ab"), now + rng.randint(1, 15)
+                hop = ((f"{s}'", f"{lab}{op}", f"{d}'"),) * rng.randint(1, 2)
+                t = sgt(s, d, lab, now, exp, op, payload=hop)
+                live[op] = sgt(s, d, lab, now, exp, op, sign=-1, payload=hop)
+                st.on_tuple(0, t, now)
+            assert_payloads_fresh(st, now)
 
 
 # randomized cross-check against the widest-validity fixpoint
