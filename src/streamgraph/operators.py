@@ -170,7 +170,7 @@ class CoalesceStage:
                 self.contribs[key] = {t.origin: (iv, t.payload)}
                 origin = self._fresh()
                 self.advertised[key] = [(origin, iv, t.payload)]
-                return [StreamTuple(t.src, t.trg, t.label, iv, t.payload, 1, origin=origin)]
+                return [StreamTuple(*key, iv, t.payload, 1, origin=origin)]
             self.contribs.setdefault(key, {})[t.origin] = (iv, t.payload)
         elif self.contribs.get(key, {}).pop(t.origin, None) is None:
             log.warning("retraction for unknown contribution %r ignored", t.origin)

@@ -38,14 +38,16 @@ stamp makes the payload be rebuilt from the nearest ancestor whose stamp
 is current.  Nothing else can leave a stale cache behind: a new node is
 a leaf, a removed node takes its subtree with it, and since no node
 outlives its parent (child.exp <= parent.exp), an expired node's subtree
-expires with it.  So a result costs one new payload tuple, one hop
-longer than its parent's, which siblings share.
+expires with it.  So a result whose parent's stamp is current costs one
+new payload tuple, the parent's one hop longer, and siblings share the
+parent's hops.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
+
 from streamgraph.automata import Dfa
 from streamgraph.model import ExpiryIndex, Interval, StreamTuple
 
@@ -278,12 +280,12 @@ class PathStage:
                             origin=("p", op_id, root, e.trg, t2),
                         ))
                     stack.append(child_pair)
-            while True:
-                if not stack:
-                    return
+            while stack:
                 node = nodes.get(stack.pop())
                 if node is not None and node.exp > now:
                     break
+            else:
+                return
             offers = []
             for lab, t2 in out_trans.get(node.state, ()):
                 bucket = adj.get(lab, {}).get(node.vertex)
