@@ -16,7 +16,8 @@ filters and unions only: its own, or that of the Window above it.  A
 Window compiles into the scans beneath it, which stamp its intervals,
 and is left as their Coalesce.  An unwindowed scan outside any Window
 stamps intervals that never end.  Scans are stateless; the Coalesce
-matches each deletion to the insertion it undoes.
+matches each deletion to the insertion it undoes.  The sink keeps only
+the emission log: the root Coalesce's advertisements are the live set.
 
 ``run_stream`` raises the cyclic collector's generation-0 threshold to
 ``GC_GEN0_THRESHOLD`` for its own run and restores the caller's after
@@ -34,13 +35,14 @@ from dataclasses import dataclass, field
 
 from streamgraph import algebra
 from streamgraph.automata import build_dfa
-from streamgraph.model import EdgeEvent, ExpiryIndex, StreamTuple
+from streamgraph.model import EdgeEvent, StreamTuple
 from streamgraph.operators import (
     CoalesceStage,
     FilterStage,
     PatternStage,
     UnionStage,
     WindowScan,
+    eval_predicate,
 )
 from streamgraph.pathop import PathStage
 
@@ -82,33 +84,26 @@ class PipeNode:
 
 
 class OutputSink:
-    """Terminal stage: keeps the full signed emission log plus the live
-    result set (origin -> latest positive, purged at watermarks through
-    an expiry index)."""
+    """Terminal stage: keeps the signed emission log.  Snapshots read the
+    live advertisements of the ``root`` Coalesce, through the root ``filters``."""
 
-    def __init__(self):
+    def __init__(self, root: CoalesceStage, filters: list[FilterStage]):
         self.log: list[StreamTuple] = []
-        self.live: dict[object, StreamTuple] = {}
-        self.expiry = ExpiryIndex()
+        self.root = root
+        self.filters = filters
 
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
         self.log.append(t)
-        if t.sign > 0:
-            self.live[t.origin] = t
-            self.expiry.add(t.exp, t.origin)
-        else:
-            self.live.pop(t.origin, None)
         return []
 
     def on_watermark(self, w: int) -> None:
-        live = self.live
-        for origin in self.expiry.expired(w):
-            t = live.get(origin)
-            if t is not None and t.exp <= w:
-                del live[origin]
+        pass
 
     def snapshot(self, t: int) -> set[tuple[str, str, str]]:
-        return {x.key for x in self.live.values() if x.interval.contains(t)}
+        return {key for key, adverts in self.root.advertised.items()
+                if any(iv.contains(t) for _origin, iv, _payload in adverts)
+                and all(eval_predicate(StreamTuple(*key, adverts[0][1]), f.predicate)
+                        for f in self.filters)}
 
     def results(self) -> list[StreamTuple]:
         return sorted(net_results(self.log), key=lambda t: (t.ts, t.key, t.exp))
@@ -131,7 +126,6 @@ class Pipeline:
         algebra.validate_plan(plan)
         self.plan = plan
         self.payload = payload
-        self.sink = OutputSink()
         self.sources: dict[str, list[PipeNode]] = {}
         self.nodes: list[PipeNode] = []
         self._last_watermark = float("-inf")
@@ -142,7 +136,12 @@ class Pipeline:
             default=1,
         )
         self._ids = 0
-        self._build(plan, self._add(self.sink, None, 0, "sink"), 0)
+        top = self._add(None, None, 0, "sink")
+        self._build(plan, top, 0)
+        # compiled depth first: the plan's root filters, then its Coalesce
+        stages = [n.stage for n in self.nodes[1:]]
+        k = next(i for i, s in enumerate(stages) if isinstance(s, CoalesceStage))
+        self.sink = top.stage = OutputSink(stages[k], stages[:k])
 
     def _next_id(self) -> int:
         self._ids += 1

@@ -442,7 +442,10 @@ def test_insert_delete_fuzz_matches_from_scratch_oracle():
         stages = [n.stage for n in pipe.nodes if isinstance(n.stage, PathStage)]
 
         def at(t):
-            got = {(s, d) for s, d, _ in pipe.sink.snapshot(t)}
+            snap = pipe.sink.snapshot(t)
+            assert snap == {x.key for x in net_results(pipe.sink.log)
+                            if x.interval.contains(t)}, (name, t)
+            got = {(s, d) for s, d, _ in snap}
             want = answer_pairs(eval_query_at(q, events, t))
             assert got == want, (name, t, got - want, want - got)
             if t % 25 == 24:
@@ -467,7 +470,10 @@ def test_mid_slide_expiry_fuzz_matches_from_scratch_oracle():
 
         def at(t):
             nonlocal lingered
-            got = {(s, d) for s, d, _ in pipe.sink.snapshot(t)}
+            snap = pipe.sink.snapshot(t)
+            assert snap == {x.key for x in net_results(pipe.sink.log)
+                            if x.interval.contains(t)}, (name, t)
+            got = {(s, d) for s, d, _ in snap}
             want = answer_pairs(eval_query_at(q, events, t))
             assert got == want, (name, t, got - want, want - got)
             for st in stages:
@@ -666,9 +672,7 @@ def test_set_semantics_hook_covers_all_runs():
 def _held_state(stage) -> dict[str, int]:
     """Entries one stage still holds, by table; stateless stages hold
     none."""
-    if isinstance(stage, runtime.OutputSink):
-        tables = {"live": len(stage.live), "expiry": len(stage.expiry)}
-    elif isinstance(stage, operators.CoalesceStage):
+    if isinstance(stage, operators.CoalesceStage):
         tables = {"contribs": len(stage.contribs),
                   "advertised": len(stage.advertised),
                   "expiry": len(stage.expiry)}
@@ -682,8 +686,8 @@ def _held_state(stage) -> dict[str, int]:
                   "node_expiry": len(stage.node_expiry),
                   "adj_expiry": len(stage.adj_expiry)}
     else:
-        assert isinstance(stage, (operators.WindowScan, operators.FilterStage,
-                                  operators.UnionStage)), stage
+        assert isinstance(stage, (runtime.OutputSink, operators.WindowScan,
+                                  operators.FilterStage, operators.UnionStage)), stage
         tables = {}
     return {name: n for name, n in tables.items() if n}
 
@@ -691,16 +695,19 @@ def _held_state(stage) -> dict[str, int]:
 def _drain_cases(ops):
     """Every catalog shape as planned and with its windows hoisted toward
     the root, over the fuzz stream; then 1000 insertions, none deleted,
-    through a window hoisted above a filter."""
+    through a window hoisted above a filter and through the same plan
+    with the window pushed below it, which leaves the filter at the
+    root."""
     events = _fuzz_events(seed=7, ops=ops)
     for name, text in TABLE_QUERIES.items():
         plan = to_plan(parse_query(text, window=40, slide=5))
         yield name, plan, events
         yield f"{name} hoisted", algebra.rewrite_window_filter(plan, "up"), events
     not_q = (algebra.Comparison("src", "!=", ("const", "q")),)
-    yield ("hoisted filter",
-           algebra.Window(algebra.Filter(algebra.Wscan("a"), not_q), 10, 2),
-           [EdgeEvent(f"v{i % 12}", f"v{i % 7}", "a", i, 1, i) for i in range(1000)])
+    hoisted = algebra.Window(algebra.Filter(algebra.Wscan("a"), not_q), 10, 2)
+    inserts = [EdgeEvent(f"v{i % 12}", f"v{i % 7}", "a", i, 1, i) for i in range(1000)]
+    yield "hoisted filter", hoisted, inserts
+    yield "root filter", algebra.rewrite_window_filter(hoisted, "down"), inserts
 
 
 @pytest.mark.parametrize("ops", [600, 3000])

@@ -15,7 +15,6 @@ from streamgraph.runtime import (
     GC_GEN0_THRESHOLD,
     CompileError,
     Metrics,
-    OutputSink,
     StreamOrderError,
     compile_plan,
     net_results,
@@ -214,16 +213,59 @@ def test_net_results_replays_replacements_and_cancellations():
 
 
 def test_sink_snapshot_is_the_live_view_and_results_the_net_log():
-    sink = OutputSink()
-    sink.on_tuple(0, sgt("x", "y", "a", 0, 5, "o1"), 0)
-    sink.on_tuple(0, sgt("u", "v", "a", 3, 9, "o2"), 3)
+    pipe = compile_plan(algebra.Wscan("a", 6, 1))
+    sink = pipe.sink
+    pipe.feed(EdgeEvent("x", "y", "a", 0, 1, 0))
+    pipe.feed(EdgeEvent("u", "v", "a", 3, 1, 1))
     assert sink.snapshot(4) == {("x", "y", "a"), ("u", "v", "a")}
     assert sink.snapshot(7) == {("u", "v", "a")}
-    sink.on_watermark(5)  # drops the expired tuple from the live view
+    pipe.watermark(6)  # drops the expired tuple from the live view
     assert sink.snapshot(4) == {("u", "v", "a")}
     assert {val(t) for t in sink.results()} == {
-        ("x", "y", "a", 0, 5), ("u", "v", "a", 3, 9),
+        ("x", "y", "a", 0, 6), ("u", "v", "a", 3, 9),
     }
+    pipe.feed(EdgeEvent("u", "v", "a", 7, -1, 2, ref=1))
+    assert sink.snapshot(7) == set()
+    assert [val(t) for t in sink.results()] == [("x", "y", "a", 0, 6)]
+
+
+NOT_Q = (algebra.Comparison("src", "!=", ("const", "q")),)
+NOT_Y = (algebra.Comparison("trg", "!=", ("const", "y")),)
+
+
+@pytest.mark.parametrize("predicates", [(NOT_Q,), (NOT_Q, NOT_Y)],
+                         ids=["filter", "filter-chain"])
+def test_root_filter_snapshot_equals_its_hoisted_form(predicates):
+    """Pushing a window below its filters leaves the filters at the
+    root, above the Coalesce whose table the sink reads: snapshots
+    apply their predicates and match the hoisted form's at every
+    instant, while the predicates drop keys the table holds."""
+    hoisted = algebra.Wscan("a")
+    for pred in predicates:
+        hoisted = algebra.Filter(hoisted, pred)
+    hoisted = algebra.Window(hoisted, 10, 2)
+    root_filter = algebra.rewrite_window_filter(hoisted, "down")
+    assert isinstance(root_filter, algebra.Filter)
+    verts = ["q", "x", "y", "z"]
+    stream, live = [], []
+    for i in range(120):
+        if i % 5 == 4 and live:
+            ref = live.pop(0)
+            stream.append(EdgeEvent(verts[ref % 4], verts[ref % 3], "a", i, -1, i, ref=ref))
+        else:
+            live.append(i)
+            stream.append(EdgeEvent(verts[i % 4], verts[i % 3], "a", i, 1, i))
+    instants = list(range(120))
+    snaps = []
+    for plan in (root_filter, hoisted, algebra.Window(algebra.Wscan("a"), 10, 2)):
+        pipe = compile_plan(plan)
+        got = []
+        run_stream(pipe, stream, instants,
+                   on_instant=lambda t: got.append(pipe.sink.snapshot(t)))
+        snaps.append(got)
+    assert snaps[0] == snaps[1]
+    assert any(snaps[1]) and snaps[1] != snaps[2]
+    assert all(f <= u for f, u in zip(snaps[1], snaps[2]))
 
 
 # -------------------------------------------------------------------- driver
