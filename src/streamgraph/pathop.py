@@ -27,9 +27,9 @@ Deleting a tree edge severs a subtree.  A node reached over edge e sits
 at (e.trg, the state e's label leads to), so the pair index finds every
 tree that uses e.  The subtree is recomputed with a widest-expiry first
 search seeded from the intact remainder of the tree (largest expiry
-first, ties by smaller start, then vertex, then state).  Reattached
-nodes keep their identity; unreachable nodes are removed and, when
-accepting, retracted.
+first, ties by smaller start, then vertex, then state).  Every severed
+witness ran through the deleted edge, so reattached results keep their
+identity but are all re-emitted; unreachable ones are retracted.
 
 Every node caches the payload of its witness path, stamped with the
 version of its tree; the tree's version goes up on every re-parent,
@@ -375,12 +375,11 @@ class PathStage:
                     out.append(self._result(tree, node, -1))
                 continue
             parent, e, ts, exp = hit
-            changed = (ts, exp) != (node.ts, node.exp)
             self._set_parent(tree, node, parent, e)
             node.ts = ts
             node.exp = exp
             self.node_expiry.add(exp, (tree.root, pair))
-            if accepting and changed:
+            if accepting:
                 reattached.append(node)
         # Payloads walk parent pointers, so emit only once every settled
         # node has been re-parented; mid-loop the chain can still thread

@@ -807,7 +807,7 @@ PINNED_OUTPUTS = {
     "square": (72, "e28442ec16c0d21d"),
     "guarded_closure": (108, "b1032b94ebfb9385"),
     "nested_closure": (178, "53ec9bd2cbffaabd"),
-    "siblings_closure": (3809, "e0bda1c91d8dabda"),
+    "siblings_closure": (3871, "d93056e1f79b1208"),
 }
 
 
@@ -822,7 +822,7 @@ PINNED_LOG_DIGESTS = {
     "square": ("ac0c31613770c522", "ac0c31613770c522"),
     "guarded_closure": ("779e3108ea09f52d", "779e3108ea09f52d"),
     "nested_closure": ("23cbaebb72b8728b", "b045e6ce7c8bb547"),
-    "siblings_closure": ("930076e32fd649be", "528a2b764872b83e"),
+    "siblings_closure": ("6b8e47cc76897373", "403f80e035ef88a9"),
 }
 
 

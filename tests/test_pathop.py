@@ -17,6 +17,7 @@ from streamgraph.automata import build_dfa, parse_regex
 from streamgraph.model import Interval, StreamTuple
 from streamgraph.oracle import widest_validity
 from streamgraph.pathop import PathStage
+from streamgraph.runtime import net_results
 
 INF = float("inf")
 
@@ -176,6 +177,33 @@ def test_delete_cascades_through_severed_subtree():
     out = st.on_tuple(0, sgt("r", "a", "a", 0, 30, 1, sign=-1), 5)
     assert sorted((t.sign, t.trg) for t in out) == [(-1, "a"), (-1, "b"), (-1, "c")]
     assert ("r" not in st.trees) or len(st.trees["r"].nodes) == 1
+
+
+def _net_payloads(outs):
+    return {(t.src, t.trg): t.payload for t in net_results(outs)}
+
+
+def test_repair_reemits_a_result_whose_witness_moved_on_the_same_interval():
+    st = stage("a+", "P")
+    outs = []
+    for o, (s, d) in enumerate([("r", "a"), ("a", "b"), ("r", "x"), ("x", "b")]):
+        outs += st.on_tuple(0, sgt(s, d, "a", 0, 20, o), 0)
+    outs += st.on_tuple(0, sgt("a", "b", "a", 0, 20, 1, sign=-1), 5)
+    assert tree_table(st, "r")[("b", 1)] == ((0, 20), ("x", 1))
+    assert _net_payloads(outs)[("r", "b")] == (("r", "a", "x"), ("x", "a", "b"))
+
+
+def test_repair_reemits_results_below_a_moved_witness():
+    """(c,1) keeps its parent, edge and interval, but its witness ran
+    through the deleted edge too."""
+    st = stage("a+", "P")
+    outs = []
+    for o, (s, d) in enumerate([("r", "a"), ("a", "b"), ("b", "c"), ("r", "x"),
+                                ("x", "b")]):
+        outs += st.on_tuple(0, sgt(s, d, "a", 0, 20, o), 0)
+    outs += st.on_tuple(0, sgt("a", "b", "a", 0, 20, 1, sign=-1), 5)
+    assert _net_payloads(outs)[("r", "c")] == (
+        ("r", "a", "x"), ("x", "a", "b"), ("b", "a", "c"))
 
 
 def test_repair_prefers_smaller_start_on_equal_expiry():
