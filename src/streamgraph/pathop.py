@@ -25,11 +25,17 @@ retract results.
 
 Deleting a tree edge severs a subtree.  A node reached over edge e sits
 at (e.trg, the state e's label leads to), so the pair index finds every
-tree that uses e.  The subtree is recomputed with a widest-expiry first
-search seeded from the intact remainder of the tree (largest expiry
-first, ties by smaller start, then vertex, then state).  Every severed
-witness ran through the deleted edge, so reattached results keep their
-identity but are all re-emitted; unreachable ones are retracted.
+tree that uses e.  The subtree is removed, as expiry removes one, and
+regrown by the relaxation insertions use: every live edge from a live
+intact node into a removed pair is offered, widest first.  Removing the
+subtree leaves exactly those edges breaking the invariant above, so
+relaxing them yields the widest tree again.  Every regrown node is new,
+so its result is re-emitted with its new witness; a removed result that
+does not come back is retracted.
+
+A node's start is its witness's start when it enters the tree, and the
+earlier of its old start and the new witness's start when an insertion
+re-parents it onto a wider path.
 
 Every node caches the payload of its witness path, stamped with the
 version of its tree; the tree's version goes up on every re-parent,
@@ -45,7 +51,6 @@ parent's hops.
 
 from __future__ import annotations
 
-import heapq
 import logging
 
 from streamgraph.automata import Dfa
@@ -119,13 +124,8 @@ class PathStage:
         # per adjacency edge
         self.node_expiry = ExpiryIndex()
         self.adj_expiry = ExpiryIndex()
-        self._seq = 0
 
     # Bookkeeping helpers keep nodes and the pair index in lockstep.
-
-    def _tick(self) -> int:
-        self._seq += 1
-        return self._seq
 
     def _add_node(self, tree: SpanningTree, node: TreeNode) -> None:
         tree.nodes[node.pair] = node
@@ -137,12 +137,7 @@ class PathStage:
     def _set_parent(
         self, tree: SpanningTree, node: TreeNode, parent: Pair, via: StreamTuple
     ) -> None:
-        if node.parent is not None:
-            # the old parent may already be gone (removed earlier in the
-            # same repair)
-            old_parent = tree.nodes.get(node.parent)
-            if old_parent is not None:
-                old_parent.children.discard(node.pair)
+        tree.nodes[node.parent].children.discard(node.pair)
         node.parent = parent
         node.via = via
         tree.nodes[parent].children.add(node.pair)
@@ -162,9 +157,10 @@ class PathStage:
             if not roots:
                 del self.inverted[pair]
 
-    def _drop_subtree(self, tree: SpanningTree, pair: Pair) -> None:
-        # Direct expiry: an expired node and everything below it (their
-        # expiries are no larger) vanish without retraction.
+    def _drop_subtree(self, tree: SpanningTree, pair: Pair) -> dict[Pair, TreeNode]:
+        """Remove the node at pair and everything below it, silently;
+        returns the removed nodes by pair."""
+        removed: dict[Pair, TreeNode] = {}
         stack = [pair]
         while stack:
             p = stack.pop()
@@ -173,6 +169,8 @@ class PathStage:
                 continue
             stack.extend(node.children)
             self._remove_node(tree, p)
+            removed[p] = node
+        return removed
 
     def _path_payload(self, tree: SpanningTree, node: TreeNode) -> tuple:
         """The payload of node's witness path, from the nearest cached
@@ -293,7 +291,7 @@ class PathStage:
                     offers.append((bucket.values(), t2))
 
     # Deletion: non-tree edges only leave the adjacency; tree edges sever
-    # a subtree that is then reattached by a widest-expiry search.
+    # a subtree that is then removed and regrown by relaxation.
 
     def delete(self, t: StreamTuple, now: int) -> list[StreamTuple]:
         per_src = self.adj.get(t.label, {})
@@ -325,67 +323,28 @@ class PathStage:
         return out
 
     def _repair(self, tree: SpanningTree, severed: Pair, now: int, out) -> None:
-        marked: set[Pair] = set()
-        stack = [severed]
-        while stack:
-            p = stack.pop()
-            if p in marked:
+        """Remove the severed subtree, then regrow it by relaxing every
+        live edge from a live intact node into a removed pair, widest
+        first; removed results that do not come back are retracted."""
+        removed = self._drop_subtree(tree, severed)
+        seeds = []
+        for node in tree.nodes.values():
+            if node.exp <= now:
                 continue
-            marked.add(p)
-            stack.extend(tree.nodes[p].children)
-
-        heap: list[tuple[tuple[float, float, str, int], int, Pair, Pair, StreamTuple]] = []
-        settled: dict[Pair, tuple[Pair, StreamTuple, float, float]] = {}
-
-        def relax_from(pair: Pair, state: int, vertex: str, ts: float, exp: float):
-            for lab, t2 in self.out_trans.get(state, ()):
-                for e in self.adj.get(lab, {}).get(vertex, {}).values():
-                    child = (e.trg, t2)
-                    if child not in marked or child in settled:
-                        continue
-                    cand_exp = min(exp, e.exp)
-                    if cand_exp <= now:
-                        continue
-                    cand_ts = max(ts, e.ts)
-                    key = (-cand_exp, cand_ts, child[0], child[1])
-                    heapq.heappush(heap, (key, self._tick(), child, pair, e))
-
-        for pair, node in tree.nodes.items():
-            if pair not in marked and node.exp > now:
-                relax_from(pair, node.state, node.vertex, node.ts, node.exp)
-
-        while heap:
-            (negexp, ts, _v, _s), _, child, parent, e = heapq.heappop(heap)
-            if child in settled:
-                continue
-            settled[child] = (parent, e, ts, -negexp)
-            relax_from(child, child[1], child[0], ts, -negexp)
-
-        reattached: list[TreeNode] = []
-        for pair in sorted(marked):
-            node = tree.nodes[pair]
-            hit = settled.get(pair)
-            accepting = (
-                node.state in self.dfa.accepting and pair != tree.root_pair
-            )
-            if hit is None:
-                was_live = node.exp > now
-                self._remove_node(tree, pair)
-                if accepting and was_live:
-                    out.append(self._result(tree, node, -1))
-                continue
-            parent, e, ts, exp = hit
-            self._set_parent(tree, node, parent, e)
-            node.ts = ts
-            node.exp = exp
-            self.node_expiry.add(exp, (tree.root, pair))
-            if accepting:
-                reattached.append(node)
-        # Payloads walk parent pointers, so emit only once every settled
-        # node has been re-parented; mid-loop the chain can still thread
-        # through stale pointers inside the severed region.
-        for node in reattached:
-            out.append(self._result(tree, node, 1))
+            for lab, t2 in self.out_trans.get(node.state, ()):
+                for e in self.adj.get(lab, {}).get(node.vertex, {}).values():
+                    if (e.trg, t2) in removed:
+                        seeds.append((min(node.exp, e.exp), node, e, t2))
+        seeds.sort(key=lambda seed: seed[0], reverse=True)
+        grown: list[StreamTuple] = []
+        for _w, node, e, t2 in seeds:
+            self._relax(tree, node, e, t2, now, grown)
+        for pair in sorted(removed):
+            node = removed[pair]
+            if (pair not in tree.nodes and node.exp > now
+                    and node.state in self.dfa.accepting):
+                out.append(self._result(tree, node, -1))
+        out += grown
         if len(tree.nodes) == 1:
             self._remove_tree(tree)
 

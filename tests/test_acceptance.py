@@ -807,7 +807,7 @@ PINNED_OUTPUTS = {
     "square": (72, "e28442ec16c0d21d"),
     "guarded_closure": (108, "b1032b94ebfb9385"),
     "nested_closure": (178, "53ec9bd2cbffaabd"),
-    "siblings_closure": (3871, "d93056e1f79b1208"),
+    "siblings_closure": (3871, "dd3a017d958bb2bd"),
 }
 
 
@@ -816,13 +816,13 @@ PINNED_OUTPUTS = {
 # "expanded" payload modes
 PINNED_LOG_DIGESTS = {
     "closure": ("921318bb2faca4ca", "921318bb2faca4ca"),
-    "step_closure": ("22f1ba88c6a0caa0", "22f1ba88c6a0caa0"),
-    "union_closures": ("f853ca1167c9e3a3", "f853ca1167c9e3a3"),
+    "step_closure": ("4386ad5bdf6b5aee", "4386ad5bdf6b5aee"),
+    "union_closures": ("9e8857992e30afcb", "9e8857992e30afcb"),
     "chain_closure": ("31842909ea4ba6c6", "2e750228a98b2ba6"),
     "square": ("ac0c31613770c522", "ac0c31613770c522"),
     "guarded_closure": ("779e3108ea09f52d", "779e3108ea09f52d"),
     "nested_closure": ("23cbaebb72b8728b", "b045e6ce7c8bb547"),
-    "siblings_closure": ("6b8e47cc76897373", "403f80e035ef88a9"),
+    "siblings_closure": ("66f0a52ef00b8b7e", "5edf54ef6fe1d219"),
 }
 
 

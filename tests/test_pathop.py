@@ -206,7 +206,9 @@ def test_repair_reemits_results_below_a_moved_witness():
         ("r", "a", "x"), ("x", "a", "b"), ("b", "a", "c"))
 
 
-def test_repair_prefers_smaller_start_on_equal_expiry():
+def test_repair_keeps_the_first_witness_offered_on_equal_expiry():
+    """(b,1) regrows over a->b and c->b, both of expiry 20: the edge
+    offered first, from the node that entered the tree first, wins."""
     st = stage("a+", "P")
     st.on_tuple(0, sgt("r", "b", "a", 0, 25, 1), 0)   # tree edge, widest
     st.on_tuple(0, sgt("r", "a", "a", 2, 20, 2), 2)
