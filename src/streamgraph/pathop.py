@@ -14,7 +14,10 @@ child.exp >= min(n.exp, e.exp), so an insertion relaxes only the new
 edge, from each node (src, s) it leaves, through the transition its
 label takes from s.  A child that is missing is added; one whose
 recorded expiry grows is re-parented onto the better path; either is
-re-emitted and then expanded over all of its out-edges, and so on down.
+expanded over all of its out-edges, and so on down.  A re-parented
+node's witness changes, and so do those of all the nodes below it, even
+where their intervals stay.  Once the relaxation ends, each node whose
+witness changed is emitted once, if it is live and accepting.
 Expired nodes are treated as absent wherever they are touched, and
 expired edges are skipped where they are met: both linger until the
 next slide boundary, where two calendar indexes (``ExpiryIndex``, keyed
@@ -30,8 +33,8 @@ regrown by the relaxation insertions use: every live edge from a live
 intact node into a removed pair is offered, widest first.  Removing the
 subtree leaves exactly those edges breaking the invariant above, so
 relaxing them yields the widest tree again.  Every regrown node is new,
-so its result is re-emitted with its new witness; a removed result that
-does not come back is retracted.
+so its result is emitted once with its new witness; a removed result
+that does not come back is retracted.
 
 A node's start is its witness's start when it enters the tree, and the
 earlier of its old start and the new witness's start when an insertion
@@ -209,7 +212,7 @@ class PathStage:
         bucket = self.adj.setdefault(t.label, {}).setdefault(t.src, {})
         bucket[t.origin] = t
         self.adj_expiry.add(t.exp, (t.label, t.src, t.origin))
-        out: list[StreamTuple] = []
+        changed: dict[TreeNode, SpanningTree] = {}
         for s, t2 in self.by_label[t.label]:
             if s == self.dfa.start and t.src not in self.trees:
                 self.trees[t.src] = SpanningTree(t.src, self.dfa.start)
@@ -224,12 +227,12 @@ class PathStage:
                 if node.exp <= now:
                     self._drop_subtree(tree, node.pair)
                     continue
-                self._relax(tree, node, t, t2, now, out)
-        return out
+                self._relax(tree, node, t, t2, now, changed)
+        return self._emit(changed, now)
 
     def _relax(
         self, tree: SpanningTree, node: TreeNode, t: StreamTuple, t2: int,
-        now: int, out,
+        now: int, changed: dict[TreeNode, SpanningTree],
     ) -> None:
         """Offer edge t out of a live node, then expand every node whose
         interval grows over all of its out-edges.  The other edges out of
@@ -237,12 +240,12 @@ class PathStage:
         child.exp >= min(node.exp, e.exp) for every live edge e.
 
         An offer of edge e adds the child it reaches or, when its
-        interval grows, re-parents it; either way the child is emitted
-        when accepting and pushed for expansion."""
+        interval grows, re-parents it; either way the child is pushed for
+        expansion.  Every node whose witness changed is recorded in
+        changed, with its tree: an added or re-parented node, and every
+        node below a re-parented one, whose witness runs through it."""
         nodes = tree.nodes
-        root, root_pair = tree.root, tree.root_pair
-        accepting = self.dfa.accepting
-        label, op_id = self.label, self.op_id
+        root = tree.root
         out_trans, adj = self.out_trans, self.adj
         stack: list[Pair] = []
         offers = (((t,), t2),)
@@ -263,20 +266,20 @@ class PathStage:
                     if child is None:
                         child = TreeNode(e.trg, t2, cand_ts, cand_exp, node.pair, e)
                         self._add_node(tree, child)
+                        changed[child] = tree
                     elif child.exp < cand_exp:
                         self._set_parent(tree, child, node.pair, e)
                         child.exp = cand_exp
                         if cand_ts < child.ts:
                             child.ts = cand_ts
                         self.node_expiry.add(cand_exp, (root, child_pair))
+                        below = [child_pair]
+                        while below:
+                            n = nodes[below.pop()]
+                            changed[n] = tree
+                            below += sorted(n.children, reverse=True)
                     else:
                         continue
-                    if t2 in accepting and child_pair != root_pair:
-                        out.append(StreamTuple(
-                            root, e.trg, label, Interval(child.ts, cand_exp),
-                            self._path_payload(tree, child), 1,
-                            origin=("p", op_id, root, e.trg, t2),
-                        ))
                     stack.append(child_pair)
             while stack:
                 node = nodes.get(stack.pop())
@@ -289,6 +292,17 @@ class PathStage:
                 bucket = adj.get(lab, {}).get(node.vertex)
                 if bucket:
                     offers.append((bucket.values(), t2))
+
+    def _emit(
+        self, changed: dict[TreeNode, SpanningTree], now: int
+    ) -> list[StreamTuple]:
+        """The result of each changed node that is live and accepting,
+        once, with the witness it has after the whole relaxation."""
+        accepting = self.dfa.accepting
+        return [
+            self._result(tree, node, 1) for node, tree in changed.items()
+            if node.exp > now and node.state in accepting
+        ]
 
     # Deletion: non-tree edges only leave the adjacency; tree edges sever
     # a subtree that is then removed and regrown by relaxation.
@@ -336,15 +350,15 @@ class PathStage:
                     if (e.trg, t2) in removed:
                         seeds.append((min(node.exp, e.exp), node, e, t2))
         seeds.sort(key=lambda seed: seed[0], reverse=True)
-        grown: list[StreamTuple] = []
+        changed: dict[TreeNode, SpanningTree] = {}
         for _w, node, e, t2 in seeds:
-            self._relax(tree, node, e, t2, now, grown)
+            self._relax(tree, node, e, t2, now, changed)
         for pair in sorted(removed):
             node = removed[pair]
             if (pair not in tree.nodes and node.exp > now
                     and node.state in self.dfa.accepting):
                 out.append(self._result(tree, node, -1))
-        out += grown
+        out += self._emit(changed, now)
         if len(tree.nodes) == 1:
             self._remove_tree(tree)
 

@@ -206,6 +206,19 @@ def test_repair_reemits_results_below_a_moved_witness():
         ("r", "a", "x"), ("x", "a", "b"), ("b", "a", "c"))
 
 
+def test_reparenting_reemits_results_below_the_moved_node():
+    """(s,1) keeps its interval, capped by its own edge, when (u,1)
+    moves under r; its witness moved with it, so once z->u is deleted
+    the net result no longer runs through it."""
+    st = stage("a+", "P")
+    outs = []
+    for o, (s, d, exp) in enumerate([("r", "z", 10), ("z", "u", 20), ("u", "s", 5),
+                                     ("r", "u", 15)]):
+        outs += st.on_tuple(0, sgt(s, d, "a", 0, exp, o), 0)
+    outs += st.on_tuple(0, sgt("z", "u", "a", 0, 20, 1, sign=-1), 1)
+    assert _net_payloads(outs)[("r", "s")] == (("r", "a", "u"), ("u", "a", "s"))
+
+
 def test_repair_keeps_the_first_witness_offered_on_equal_expiry():
     """(b,1) regrows over a->b and c->b, both of expiry 20: the edge
     offered first, from the node that entered the tree first, wins."""
@@ -437,11 +450,17 @@ def test_random_ops_preserve_widest_validity_invariant(regex):
                 lab, exp, o = rng.choice("abc"), now + rng.randint(1, 15), op
                 live[o] = (s, d, lab, now, exp)
                 outs = st.on_tuple(0, sgt(s, d, lab, now, exp, o), now)
+            assert len({r.origin for r in outs}) == len(outs)
             for r in outs:
                 if r.sign > 0:
                     emitted[r.origin] = r
                 else:
                     emitted.pop(r.origin, None)
+            for r in emitted.values():
+                if r.exp > now:
+                    _p, _id, root, v, q = r.origin
+                    tree = st.trees[root]
+                    assert r.payload == walk_payload(st, tree, tree.nodes[(v, q)])
             if op % 6 == 0 or op == 59:
                 want = _oracle_state(live, dfa, st.trees, now)
                 got = {
