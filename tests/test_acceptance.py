@@ -724,10 +724,11 @@ def test_all_state_drains_after_the_last_expiry(ops):
 
 
 def test_compiling_and_running_a_plan_creates_no_reference_cycles():
-    """run_stream keeps the cyclic collector mostly off the per-tuple
-    path, which is safe only while nothing there allocates cycles: with
-    the collector disabled, compiling and running each catalog shape and
-    dropping the pipeline leaves nothing for a collection to reclaim."""
+    """run_stream keeps the cyclic collector off the per-tuple path and
+    the window state, which is safe only while nothing there allocates
+    cycles: with the collector disabled, compiling and running each
+    catalog shape leaves nothing frozen, and dropping the pipeline
+    leaves nothing for a collection to reclaim."""
     events = _fuzz_events(seed=7, ops=600)
     plans = {name: to_plan(parse_query(text, window=40, slide=5))
              for name, text in TABLE_QUERIES.items()}
@@ -740,6 +741,8 @@ def test_compiling_and_running_a_plan_creates_no_reference_cycles():
         for name, plan in plans.items():
             pipe = compile_plan(plan)
             run_stream(pipe, events)
+            # a frozen cycle would hide from the collection below
+            assert gc.get_freeze_count() == 0, name
             del pipe
             reclaimed[name] = gc.collect()
     finally:

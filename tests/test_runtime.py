@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import math
+import weakref
 
 import pytest
 
@@ -395,37 +396,91 @@ def test_failing_stage_error_reaches_the_caller():
     assert caught.value is err
 
 
+class _Held:
+    pass
+
+
+def _cycle_holding(target) -> None:
+    cycle = [target]
+    cycle.append(cycle)
+
+
 @pytest.mark.parametrize("caller", [
     pytest.param(lambda: None, id="default"),
     pytest.param(lambda: gc.set_threshold(2 * GC_GEN0_THRESHOLD, 3, 4), id="higher"),
     pytest.param(lambda: gc.set_threshold(0, 10, 10), id="threshold-0"),
     pytest.param(gc.disable, id="disabled"),
+    pytest.param(gc.freeze, id="frozen"),
 ])
 def test_run_restores_the_callers_collector_state(caller):
-    """run_stream raises the generation-0 threshold for its own run only:
-    after a normal run and after a raising stage, the caller's thresholds
-    and enabled flag are back; a higher threshold, a threshold of 0 and
-    a disabled collector are left as the caller set them."""
-    saved = gc.get_threshold(), gc.isenabled()
+    """run_stream raises the generation-0 threshold and freezes for its
+    own run only: after a normal run and after a stage that raises past
+    a slide boundary, the caller's thresholds and enabled flag are back;
+    a higher threshold, a threshold of 0 and a disabled collector are
+    left as the caller set them.  With nothing frozen before the run,
+    nothing is frozen after it; what the caller froze stays frozen."""
+    saved = gc.get_threshold(), gc.isenabled(), gc.get_freeze_count()
+    held = _Held()
+    _cycle_holding(held)
+    ref = weakref.ref(held)
+    del held
     try:
         caller()
         expect = gc.get_threshold(), gc.isenabled()
+        frozen = gc.get_freeze_count()
+
+        def assert_restored():
+            assert (gc.get_threshold(), gc.isenabled()) == expect
+            if frozen:
+                assert gc.get_freeze_count() >= frozen
+            else:
+                assert gc.get_freeze_count() == 0
+
         seen = []
         evs = events([("x", "y", "a", 1), ("y", "z", "a", 2)])
         pipe = compile_plan(to_plan(parse_query("Answer(x, y) <- a+(x, y)", window=10, slide=5)))
         m = run_stream(pipe, evs, instants=[1],
                        on_instant=lambda t: seen.append(gc.get_threshold()))
-        assert (gc.get_threshold(), gc.isenabled()) == expect
+        assert_restored()
         gen0 = expect[0][0] and max(expect[0][0], GC_GEN0_THRESHOLD)
         assert seen == [(gen0, *expect[0][1:])]
         assert len(m.gc_collections) == len(gc.get_stats())
         with pytest.raises(RuntimeError, match="stage failed"):
-            run_stream(_closure_pipeline_failing_with(RuntimeError("stage failed")), evs)
-        assert (gc.get_threshold(), gc.isenabled()) == expect
+            run_stream(_closure_pipeline_failing_with(RuntimeError("stage failed")),
+                       events([("x", "y", "b", 1), ("y", "z", "a", 7)]))
+        assert_restored()
+        gc.collect()
+        assert (ref() is not None) == bool(frozen)
     finally:
         gc.set_threshold(*saved[0])
         if saved[1]:
             gc.enable()
+        if not saved[2]:
+            gc.unfreeze()
+
+
+def test_run_sets_off_no_collection_and_thaws_what_it_froze():
+    """Frozen at every slide boundary, the window state of a few thousand
+    events sets off no collection.  Cycles that on_instant makes are
+    frozen at the next boundary, and one collection reclaims them once
+    the run returns."""
+    refs, frozen = [], []
+
+    def on_instant(t):
+        frozen.append(gc.get_freeze_count())
+        held = _Held()
+        _cycle_holding(held)
+        refs.append(weakref.ref(held))
+
+    evs = generate_synthetic(200, 3000, labels=("a",), rate=1.0, cyclicity=0.3, seed=3)
+    pipe = compile_plan(to_plan(parse_query("Answer(x, y) <- a+(x, y)", window=100, slide=10)))
+    m = run_stream(pipe, evs, instants=list(range(0, 3000, 500)), on_instant=on_instant)
+    assert m.slides == 300
+    assert m.gc_collections == [0, 0, 0]
+    assert frozen[0] == 0 and min(frozen[1:]) > 0
+    assert all(r() is not None for r in refs)
+    gc.collect()
+    assert [r() for r in refs] == [None] * 6
 
 
 def test_empty_stream_yields_zeroed_metrics():
