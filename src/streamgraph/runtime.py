@@ -41,6 +41,7 @@ import gc
 import math
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from streamgraph import algebra
 from streamgraph.automata import build_dfa
@@ -116,7 +117,13 @@ class OutputSink:
                         for f in self.filters)}
 
     def results(self) -> list[StreamTuple]:
-        return sorted(net_results(self.log), key=lambda t: (t.ts, t.key, t.exp))
+        """Net results in (ts, src, trg, label, exp) order.  Stable sorts
+        from the last field to the first give that order without building
+        a key tuple per result."""
+        out = net_results(self.log)
+        for name in ("interval.end", "label", "trg", "src", "interval.start"):
+            out.sort(key=attrgetter(name))
+        return out
 
 
 def net_results(emissions: list[StreamTuple]) -> list[StreamTuple]:

@@ -31,23 +31,24 @@ class StreamFormatError(ValueError):
 
 def read_edge_stream(lines: Iterable[str]) -> list[EdgeEvent]:
     events: list[EdgeEvent] = []
-    open_edges: dict[tuple[str, str, str], list[int]] = {}
+    # per-key stacks of live insertion uids; built at the first deletion
+    open_edges: dict[tuple[str, str, str], list[int]] | None = None
     prev_ts: int | None = None
+    intern = sys.intern
     for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 4:
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        n = len(parts)
+        if n == 4:
+            src, trg, label, ts_s = parts
             sign = "+"
-        elif len(parts) == 5 and parts[4] in ("+", "-"):
-            sign = parts[4]
-            parts = parts[:4]
+        elif n == 5 and parts[4] in ("+", "-"):
+            src, trg, label, ts_s, sign = parts
+        elif n == 0:
+            continue
         else:
             raise StreamFormatError(
                 f"line {ln}: expected 'src trg label ts [+|-]', got {raw.strip()!r}"
             )
-        src, trg, label, ts_s = parts
         try:
             ts = int(ts_s)
         except ValueError:
@@ -58,21 +59,25 @@ def read_edge_stream(lines: Iterable[str]) -> list[EdgeEvent]:
             )
         prev_ts = ts
         # interned names make tuple keys hash and compare fast
-        src, trg, label = sys.intern(src), sys.intern(trg), sys.intern(label)
+        src, trg, label = intern(src), intern(trg), intern(label)
         uid = len(events)
-        key = (src, trg, label)
         if sign == "+":
             events.append(EdgeEvent(src, trg, label, ts, 1, uid))
-            open_edges.setdefault(key, []).append(uid)
-        else:
-            stack = open_edges.get(key)
-            if not stack:
-                raise StreamFormatError(
-                    f"line {ln}: deletion of {src} {trg} {label} "
-                    "matches no live insertion"
-                )
-            ref = stack.pop()
-            events.append(EdgeEvent(src, trg, label, ts, -1, uid, ref))
+            if open_edges is not None:
+                open_edges.setdefault((src, trg, label), []).append(uid)
+            continue
+        if open_edges is None:
+            # every event so far is an insertion, none of them undone
+            open_edges = {}
+            for e in events:
+                open_edges.setdefault((e.src, e.trg, e.label), []).append(e.uid)
+        stack = open_edges.get((src, trg, label))
+        if not stack:
+            raise StreamFormatError(
+                f"line {ln}: deletion of {src} {trg} {label} "
+                "matches no live insertion"
+            )
+        events.append(EdgeEvent(src, trg, label, ts, -1, uid, stack.pop()))
     return events
 
 
