@@ -7,7 +7,10 @@ Input streams are plain text, one record per line:
                             (src, trg, label); ts is the deletion time
 
 The trailing sign is optional and defaults to ``+``.  Timestamps must
-be non-decreasing; ``#`` starts a comment.  Result streams lead with
+be non-decreasing; ``#`` starts a comment.  An insert-only stream is
+read without per-key state: the first deletion line builds the stacks
+of live insertions per ``(src, trg, label)`` from the insertions read
+so far, and they are kept from then on.  Result streams lead with
 the sign and append the validity interval and the witness path:
 
     sign src trg label ts exp payload

@@ -8,6 +8,7 @@ import math
 import weakref
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from streamgraph import algebra
 from streamgraph.model import EdgeEvent, Interval, StreamTuple
@@ -229,6 +230,36 @@ def test_sink_snapshot_is_the_live_view_and_results_the_net_log():
     assert sink.snapshot(7) == set()
     assert [val(t) for t in sink.results()] == [("x", "y", "a", 0, 6)]
 
+
+
+TIED = [  # ties in ts, in key and in (ts, key), over two labels and two ends
+    sgt("y", "x", "b", 1, 5, "o0"),
+    sgt("x", "y", "b", 1, math.inf, "o1"),
+    sgt("x", "y", "a", 1, 5, "o2"),
+    sgt("x", "y", "b", 1, 5, "o3"),
+    sgt("x", "y", "a", 0, math.inf, "o4"),
+    sgt("x", "y", "a", 1, 5, "o5", payload=(("x", "a", "y"),)),
+    sgt("y", "x", "a", 0, 5, "o6"),
+    sgt("x", "y", "a", 1, math.inf, "o7"),
+]
+
+
+@example(log=TIED)
+@given(st.lists(
+    st.builds(sgt, st.sampled_from("xy"), st.sampled_from("xy"),
+              st.sampled_from("ab"), st.integers(0, 1),
+              st.sampled_from([5, math.inf]), st.integers(0, 7),
+              st.sampled_from([1, 1, -1])),
+    max_size=30))
+def test_results_order_equals_the_one_key_sort(log):
+    """``results()`` sorts field by field; its order must equal one sort
+    keyed on (ts, key, exp), full ties kept in log order."""
+    sink = compile_plan(algebra.Wscan("a", 6, 1)).sink
+    sink.log = list(log)
+    want = sorted(net_results(log), key=lambda t: (t.ts, t.key, t.exp))
+    got = sink.results()
+    assert [(val(t), t.payload, t.origin) for t in got] == [
+        (val(t), t.payload, t.origin) for t in want]
 
 NOT_Q = (algebra.Comparison("src", "!=", ("const", "q")),)
 NOT_Y = (algebra.Comparison("trg", "!=", ("const", "y")),)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import io
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from streamgraph.model import EdgeEvent, Interval, StreamTuple
 from streamgraph.streams import (
@@ -71,6 +72,56 @@ def test_malformed_lines_are_rejected():
     with pytest.raises(StreamFormatError, match="bad timestamp 'zz'"):
         read_edge_stream(io.StringIO("x y a zz\n"))
 
+
+
+def test_malformed_line_reports_the_raw_line_and_counts_every_line():
+    text = "\n# header\n   \nx y a # c\n"
+    msg = "line 4: expected 'src trg label ts [+|-]', got 'x y a # c'"
+    with pytest.raises(StreamFormatError, match=f"^{re.escape(msg)}$"):
+        read_edge_stream(io.StringIO(text))
+
+
+TINY_KEY = st.tuples(st.sampled_from("uv"), st.sampled_from("uv"),
+                     st.sampled_from("ab"))
+
+
+@example(prefix=[("u", "v", "a")], first=("v", "u", "b"), repeats=0, rest=[])
+@example(prefix=[("u", "v", "a")], first=("u", "v", "a"), repeats=1,
+         rest=[(("u", "v", "a"), True)] * 3)
+@given(
+    prefix=st.lists(TINY_KEY, max_size=8),
+    first=TINY_KEY,
+    repeats=st.integers(min_value=0, max_value=3),
+    rest=st.lists(st.tuples(TINY_KEY, st.booleans()), max_size=30),
+)
+def test_deletions_match_a_naive_latest_live_insertion(prefix, first, repeats, rest):
+    """Insertions of a tiny key space, ``repeats`` more of ``first``, the
+    first deletion (of ``first``), then mixed lines.  Each deletion's
+    ``ref`` is the latest insertion of its key not yet deleted; a
+    deletion with none raises with its line number, whether it is the
+    first deletion or comes after it."""
+    ops = ([(k, False) for k in prefix] + [(first, False)] * repeats
+           + [(first, True)] + rest)
+    text = "".join(f"{s} {t} {l} {ts}{' -' if neg else ''}\n"
+                   for ts, ((s, t, l), neg) in enumerate(ops))
+    want: list[tuple] = []
+    undone: set[int] = set()
+    for ln, (key, neg) in enumerate(ops, start=1):
+        if not neg:
+            want.append((key, 1, None))
+            continue
+        live = [uid for uid, (k, sign, _) in enumerate(want)
+                if sign > 0 and k == key and uid not in undone]
+        if not live:
+            msg = f"line {ln}: deletion of {' '.join(key)} matches no live insertion"
+            with pytest.raises(StreamFormatError, match=f"^{re.escape(msg)}$"):
+                read_edge_stream(io.StringIO(text))
+            return
+        undone.add(live[-1])
+        want.append((key, -1, live[-1]))
+    ev = read_edge_stream(io.StringIO(text))
+    assert [((e.src, e.trg, e.label), e.sign, e.ref) for e in ev] == want
+    assert [e.uid for e in ev] == list(range(len(ops)))
 
 def test_format_result_covers_inf_and_payloads():
     t = StreamTuple(
