@@ -131,11 +131,13 @@ def cmd_check(args) -> int:
 def cmd_gen(args) -> int:
     with open(args.spec) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"spec must be a JSON object, got {type(spec).__name__}")
     try:
         events = generate_synthetic(
             vertices=spec["vertices"],
             edges=spec["edges"],
-            labels=tuple(spec.get("labels", ("a", "b", "c", "d"))),
+            labels=spec.get("labels", ("a", "b", "c", "d")),
             rate=spec.get("rate", 1.0),
             cyclicity=spec.get("cyclicity", 0.3),
             seed=spec.get("seed", 0),

@@ -116,8 +116,20 @@ def generate_synthetic(
     vertex; with probability ``cyclicity`` it points backwards (to a
     lower-numbered vertex), closing cycles, otherwise forwards.
     """
-    if vertices < 2:
-        raise ValueError("need at least two vertices")
+    if not isinstance(vertices, int) or vertices < 2:
+        raise ValueError(f"vertices must be an integer >= 2, got {vertices!r}")
+    if not isinstance(edges, int) or edges < 0:
+        raise ValueError(f"edges must be an integer >= 0, got {edges!r}")
+    if not isinstance(rate, (int, float)) or not rate > 0:
+        raise ValueError(f"rate must be a number > 0, got {rate!r}")
+    if not isinstance(cyclicity, (int, float)) or not 0 <= cyclicity <= 1:
+        raise ValueError(f"cyclicity must be a number in [0, 1], got {cyclicity!r}")
+    if not isinstance(seed, int):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not (isinstance(labels, (list, tuple)) and labels and all(
+            isinstance(x, str) and "#" not in x and x.split() == [x] for x in labels)):
+        raise ValueError("labels must be a non-empty list of names without "
+                         f"whitespace or '#', got {labels!r}")
     rng = random.Random(seed)
     names = [sys.intern(f"v{i}") for i in range(vertices)]
     out: list[EdgeEvent] = []
@@ -134,3 +146,4 @@ def generate_synthetic(
             EdgeEvent(names[u], names[v], rng.choice(labels), ts, 1, uid=i)
         )
     return out
+

@@ -134,8 +134,8 @@ def test_dfa_three_step_loop_state_count():
     assert len(dfa.states) == 4
     assert dfa.accepting == {3}
     assert dfa.delta_star(0, ("a", "b", "c")) == 3
-    assert dfa.delta(3, "a") == 1
-    assert dfa.delta(3, "b") is None
+    assert dfa.transitions.get((3, "a")) == 1
+    assert dfa.transitions.get((3, "b")) is None
 
 
 def test_dfa_canonical_numbering_is_bfs_from_start():
@@ -143,15 +143,43 @@ def test_dfa_canonical_numbering_is_bfs_from_start():
     # BFS over sorted labels: 0 -a-> 1, then 1 -b-> 2, 1 -c-> 2 (merged by
     # minimization since both continuations accept exactly the empty rest).
     assert dfa.start == 0
-    assert dfa.delta(0, "a") == 1
-    assert dfa.delta(1, "b") == dfa.delta(1, "c") == 2
+    assert dfa.transitions.get((0, "a")) == 1
+    assert dfa.transitions.get((1, "b")) == dfa.transitions.get((1, "c")) == 2
     assert dfa.accepting == {2}
+    # Breadth first, not depth first: 1's successors are numbered before 2's.
+    dfa = build_dfa(parse_regex("a.(c.e|d)|b.f"))
+    assert dfa.transitions == {
+        (0, "a"): 1, (0, "b"): 2, (1, "c"): 3, (1, "d"): 4, (2, "f"): 4, (3, "e"): 4
+    }
+
+
+@pytest.mark.parametrize("text, accepting, transitions", [
+    ("a*", {0}, {(0, "a"): 0}),
+    ("(a.b.c)+", {3}, {(0, "a"): 1, (1, "b"): 2, (2, "c"): 3, (3, "a"): 1}),
+    ("(a.$tmp1)+", {2}, {(0, "a"): 1, (1, "$tmp1"): 2, (2, "a"): 1}),
+    ("($tmp1.c)+", {2}, {(0, "$tmp1"): 1, (1, "c"): 2, (2, "$tmp1"): 1}),
+])
+def test_dfa_state_numbers_are_pinned(text, accepting, transitions):
+    # The automata that catalog and plan-variant runs compile; their state
+    # ids enter path origins and the order of relaxation.
+    dfa = build_dfa(parse_regex(text))
+    assert (dfa.start, dfa.accepting, dfa.transitions) == (0, accepting, transitions)
+
+
+def test_dfa_minimal_beyond_brute_force_reach():
+    # The first needs the last 9 letters read: 2^9 distinct residuals.  The
+    # mirror counts 0..8 letters (8 also waits for an "a"), then accepts.
+    k8 = ".".join(["(a|b)"] * 8)
+    assert len(build_dfa(parse_regex(f"(a|b)*.a.{k8}")).states) == 512
+    assert len(build_dfa(parse_regex(f"{k8}.a.(a|b)*")).states) == 10
 
 
 def test_dfa_empty_language():
     # Nothing matches a label that must be followed by an impossible branch.
     dfa = build_dfa(Concat((Sym("a"), Alt(()))))
     assert not any(dfa.accepts(w) for w in all_words(["a", "b"], 4))
+    # One non-accepting start state and no transitions.
+    assert (dfa.start, dfa.accepting, dfa.transitions) == (0, set(), {})
 
 
 # bounded size: determinization and the brute matcher both degrade on
@@ -190,6 +218,27 @@ def test_dfa_minimal_and_all_states_live(node):
         )
         assert sig not in sigs, f"states {sigs.get(sig)} and {s} indistinguishable"
         sigs[sig] = s
+    # Numbered breadth first from the start over sorted labels.
+    order = [dfa.start]
+    for s in order:
+        for label in sorted(regex_alphabet(node)):
+            t = dfa.transitions.get((s, label))
+            if t is not None and t not in order:
+                order.append(t)
+    assert order == list(range(len(dfa.states)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(regex_ast)
+def test_language_equal_regexes_compile_to_the_same_dfa(r):
+    def fields(node):
+        dfa = build_dfa(node)
+        return dfa.start, dfa.accepting, dfa.transitions
+
+    assert fields(Alt((r, r))) == fields(r)
+    assert fields(Concat((r, Star(r)))) == fields(Plus(r))
+    assert fields(Star(Star(r))) == fields(Star(r))
+    assert fields(Opt(Plus(r))) == fields(Star(r))
 
 
 @settings(max_examples=80, deadline=None)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from streamgraph import cli
 
 NOTIFY_QUERY = """\
@@ -156,11 +158,37 @@ def test_gen_is_deterministic_and_parseable(tmp_path):
         assert len(read_edge_stream(fh)) == 40
 
 
-def test_gen_rejects_incomplete_specs(tmp_path, capsys):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"vertices": 6}))
-    assert cli.main(["gen", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
-    assert "error: spec is missing required key 'edges'" in capsys.readouterr().err
+@pytest.mark.parametrize("spec, message", [
+    pytest.param({"vertices": 6}, "spec is missing required key 'edges'",
+                 id="missing-edges"),
+    pytest.param([6, 10], "spec must be a JSON object", id="list"),
+    pytest.param({"vertices": "10", "edges": 5}, "vertices must be", id="vertices-str"),
+    pytest.param({"vertices": 1, "edges": 5}, "vertices must be", id="vertices-1"),
+    pytest.param({"vertices": 6, "edges": -1}, "edges must be", id="edges-negative"),
+    pytest.param({"vertices": 6, "edges": 5, "rate": -1}, "rate must be", id="rate-negative"),
+    pytest.param({"vertices": 6, "edges": 5, "rate": 0}, "rate must be", id="rate-0"),
+    pytest.param({"vertices": 6, "edges": 5, "cyclicity": 1.5}, "cyclicity must be",
+                 id="cyclicity-above-1"),
+    pytest.param({"vertices": 6, "edges": 5, "seed": [1]}, "seed must be", id="seed-list"),
+    pytest.param({"vertices": 6, "edges": 5, "labels": []}, "labels must be",
+                 id="labels-empty"),
+    pytest.param({"vertices": 6, "edges": 5, "labels": "ab"}, "labels must be",
+                 id="labels-str"),
+    pytest.param({"vertices": 6, "edges": 5, "labels": ["a", ""]}, "labels must be",
+                 id="label-empty"),
+    pytest.param({"vertices": 6, "edges": 5, "labels": ["a b"]}, "labels must be",
+                 id="label-space"),
+    pytest.param({"vertices": 6, "edges": 5, "labels": ["a#"]}, "labels must be",
+                 id="label-hash"),
+])
+def test_gen_rejects_incomplete_specs(tmp_path, capsys, spec, message):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out = tmp_path / "x"
+    assert cli.main(["gen", "--spec", str(spec_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
 
 
 def test_window_flags_override_the_query_file(tmp_path, capsys):
