@@ -9,7 +9,8 @@ Subcommands:
     gen    produce a synthetic edge-stream file from a JSON spec
 
 Every command exits 0 on success; ``check`` exits 1 when any instant
-differs; usage and input errors print one line to stderr and exit 2.
+differs or, in dense mode, when the log retracts a result that had
+ended; usage and input errors print one line to stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from streamgraph.query import QueryError, parse_query, to_plan
 from streamgraph.runtime import StreamOrderError, compile_plan, run_stream
 from streamgraph.streams import (
     StreamFormatError,
+    format_result,
     generate_synthetic,
     read_edge_stream,
     write_edge_stream,
@@ -98,29 +100,35 @@ def cmd_check(args) -> int:
     if not events:
         print("ok: empty stream, nothing to check")
         return 0
-    if args.instants == "dense":
+    dense = args.instants == "dense"
+    if dense:
         final = -(-events[-1].ts // q.slide) * q.slide
         instants = list(range(events[0].ts, final + 1))
     else:
         instants = _boundaries(events, q.slide)
     pipe = compile_plan(to_plan(q))
-    got: list[tuple[int, set]] = []
+    got: list[tuple[int, set, int]] = []
     run_stream(
         pipe,
         events,
         instants=instants,
         on_instant=lambda t: got.append(
-            (t, {(s, d) for s, d, lbl in pipe.sink.snapshot(t)})
+            (t, {(s, d) for s, d, lbl in pipe.sink.snapshot(t)}, len(pipe.sink.log))
         ),
     )
-    diffs = 0
-    for t, engine in got:
+    diffs = seen = 0
+    for t, engine, logged in got:
         want = answer_pairs(eval_query_at(q, events, t))
+        # dense instants are every instant, so the entries logged since
+        # the previous one were emitted at t; expiry never retracts
+        ended = [format_result(x) for x in pipe.sink.log[seen:logged]
+                 if dense and x.sign < 0 and x.exp <= t]
+        seen = logged
+        diffs += engine != want or bool(ended)
         if engine != want:
-            diffs += 1
-            missing = sorted(want - engine)
-            extra = sorted(engine - want)
-            print(f"t={t}: missing={missing} extra={extra}")
+            print(f"t={t}: missing={sorted(want - engine)} extra={sorted(engine - want)}")
+        for line in ended:
+            print(f"t={t}: retracted an ended result {line}")
     if diffs:
         print(f"FAIL: {diffs} of {len(got)} instants differ")
         return 1

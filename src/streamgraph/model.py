@@ -171,7 +171,7 @@ class ExpiryIndex:
     maxes of them, so for one ``(size, slide)`` at most ``size/slide + 1``
     distinct finite ends are live at once.  A dict from end to the items
     ending there, plus a heap of the distinct ends, pops exactly the
-    expired items: a slide boundary costs O(expired), not O(state).
+    expired items: a purge costs O(expired), not O(state).
 
     Items are hints.  An owner adds one whenever it stores an entry and
     re-checks its own state before dropping anything, so entries that

@@ -26,11 +26,13 @@ merges overlapping-or-adjacent contributions, and republishes the merged
 intervals, retracting stale ones.  Contributions that fall inside an
 already-advertised interval cause no downstream traffic.
 
-Expiry is handled directly: probes skip and drop entries that can no
-longer intersect new input, and every stateful stage files each entry it
-stores in an ``ExpiryIndex`` under the entry's end, so a slide-boundary
-watermark pops and re-checks only what expired instead of walking all
-state.  Expired state vanishes silently, deletions emit negatives.
+Expiry is handled directly: every stateful stage files each entry it
+stores in an ``ExpiryIndex`` under the entry's end, so a watermark pops
+and re-checks only what expired instead of walking all state.  The
+driver purges at every instant an interval can end (see runtime.py), so
+no stage meets an ended entry outside its purge, and a join probe is a
+plain bucket read.  Expired state vanishes silently, deletions emit
+negatives.
 """
 
 from __future__ import annotations
@@ -342,7 +344,7 @@ class PatternStage:
             return []
         out: list[StreamTuple] = []
         if port == 0:
-            self._row(1, Row((t,), t.interval, (t.origin,)), t.sign, now, out)
+            self._row(1, Row((t,), t.interval, (t.origin,)), t.sign, out)
             return out
         key = self.right_key[port](t)
         table = self.right[port]
@@ -356,13 +358,13 @@ class PatternStage:
                 log.warning("join deletion of absent tuple %r ignored", t.origin)
                 return out
             t = stored  # the cascade continues with what was stored
-        for row in _probe(self.left[port], key, now):
-            self._extend(row, t, port, sign, now, out)
+        for row in list(self.left[port].get(key, {}).values()):
+            self._extend(row, t, port, sign, out)
         return out
 
-    def _row(self, level: int, row: Row, sign: int, now: int, out) -> None:
+    def _row(self, level: int, row: Row, sign: int, out) -> None:
         """Store (sign > 0) or discard a row over inputs 0..level-1, then
-        extend it by every live match of input ``level``."""
+        extend it by every match of input ``level``."""
         if level == self.n:
             out.append(self._project(row, sign))
             return
@@ -374,16 +376,14 @@ class PatternStage:
         elif _discard(table, key, row.origins) is None and level == 1:
             log.warning("join deletion of absent tuple %r ignored", row.origins)
             return
-        for t in _probe(self.right[level], key, now):
-            self._extend(row, t, level, sign, now, out)
+        for t in list(self.right[level].get(key, {}).values()):
+            self._extend(row, t, level, sign, out)
 
-    def _extend(
-        self, row: Row, t: StreamTuple, level: int, sign: int, now: int, out
-    ) -> None:
+    def _extend(self, row: Row, t: StreamTuple, level: int, sign: int, out) -> None:
         iv = row.interval.intersect(t.interval)
         if iv is not None:
             bigger = Row(row.tuples + (t,), iv, row.origins + (t.origin,))
-            self._row(level + 1, bigger, sign, now, out)
+            self._row(level + 1, bigger, sign, out)
 
     def on_watermark(self, w: int) -> None:
         for table, key, origin in self.expiry.expired(w):
@@ -398,19 +398,6 @@ def _fields_getter(fields: list[str]):
         get = attrgetter(fields[0])
         return lambda t: (get(t),)
     return attrgetter(*fields) if fields else lambda t: ()
-
-
-def _probe(table: dict, key: tuple, now: int) -> list:
-    """The live entries of one join bucket; entries that can no longer
-    match anything new are dropped on the way, and the bucket once empty."""
-    bucket = table.get(key)
-    if not bucket:
-        return []
-    for origin in [o for o, e in bucket.items() if e.interval.end <= now]:
-        del bucket[origin]
-    if not bucket:
-        del table[key]
-    return list(bucket.values())
 
 
 def _discard(table: dict, key: tuple, origin):

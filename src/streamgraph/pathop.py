@@ -9,7 +9,7 @@ its edges are: its interval starts at the latest edge start and ends at
 the earliest edge expiry.  Nodes in accepting states are results.
 
 The tree keeps, via parent links, one witness path per node, always a
-widest one.  Every live node n and live edge e out of it satisfy
+widest one.  Every node n and edge e out of it satisfy
 child.exp >= min(n.exp, e.exp), so an insertion relaxes only the new
 edge, from each node (src, s) it leaves, through the transition its
 label takes from s.  A child that is missing is added; one whose
@@ -17,10 +17,11 @@ recorded expiry grows is re-parented onto the better path; either is
 expanded over all of its out-edges, and so on down.  A re-parented
 node's witness changes, and so do those of all the nodes below it, even
 where their intervals stay.  Once the relaxation ends, each node whose
-witness changed is emitted once, if it is live and accepting.
-Expired nodes are treated as absent wherever they are touched, and
-expired edges are skipped where they are met: both linger until the
-next slide boundary, where two calendar indexes (``ExpiryIndex``, keyed
+witness changed is emitted once, if it is accepting.
+
+The driver purges at every instant an interval can end, before any
+input at that instant (see runtime.py), so nothing here meets a node or
+an edge that has ended.  Two calendar indexes (``ExpiryIndex``, keyed
 by end value) hand back exactly the tree nodes and adjacency edges filed
 under an end the watermark has passed, so the sweep costs O(expired),
 not O(state).  Expiry drops state silently; only explicit deletions
@@ -29,8 +30,8 @@ retract results.
 Deleting a tree edge severs a subtree.  A node reached over edge e sits
 at (e.trg, the state e's label leads to), so the pair index finds every
 tree that uses e.  The subtree is removed, as expiry removes one, and
-regrown by the relaxation insertions use: every live edge from a live
-intact node into a removed pair is offered, widest first.  Removing the
+regrown by the relaxation insertions use: every edge from an intact
+node into a removed pair is offered, widest first.  Removing the
 subtree leaves exactly those edges breaking the invariant above, so
 relaxing them yields the widest tree again.  Every regrown node is new,
 so its result is emitted once with its new witness; a removed result
@@ -147,9 +148,7 @@ class PathStage:
         tree.version += 1
 
     def _remove_node(self, tree: SpanningTree, pair: Pair) -> None:
-        node = tree.nodes.pop(pair, None)
-        if node is None:
-            return
+        node = tree.nodes.pop(pair)
         if node.parent is not None:
             parent = tree.nodes.get(node.parent)
             if parent is not None:
@@ -206,7 +205,7 @@ class PathStage:
     # Insertion: relax the new edge from every tree node it can extend;
     # only nodes whose interval grows are expanded further.
 
-    def insert(self, t: StreamTuple, now: int) -> list[StreamTuple]:
+    def insert(self, t: StreamTuple) -> list[StreamTuple]:
         if t.label not in self.by_label:
             return []
         bucket = self.adj.setdefault(t.label, {}).setdefault(t.src, {})
@@ -218,26 +217,18 @@ class PathStage:
                 self.trees[t.src] = SpanningTree(t.src, self.dfa.start)
                 self.inverted.setdefault((t.src, s), {})[t.src] = None
             for root in list(self.inverted.get((t.src, s), ())):
-                tree = self.trees.get(root)
-                if tree is None:
-                    continue
-                node = tree.nodes.get((t.src, s))
-                if node is None:
-                    continue
-                if node.exp <= now:
-                    self._drop_subtree(tree, node.pair)
-                    continue
-                self._relax(tree, node, t, t2, now, changed)
-        return self._emit(changed, now)
+                tree = self.trees[root]
+                self._relax(tree, tree.nodes[(t.src, s)], t, t2, changed)
+        return self._emit(changed)
 
     def _relax(
         self, tree: SpanningTree, node: TreeNode, t: StreamTuple, t2: int,
-        now: int, changed: dict[TreeNode, SpanningTree],
+        changed: dict[TreeNode, SpanningTree],
     ) -> None:
-        """Offer edge t out of a live node, then expand every node whose
+        """Offer edge t out of a node, then expand every node whose
         interval grows over all of its out-edges.  The other edges out of
-        a node whose interval did not grow are no-ops: live nodes keep
-        child.exp >= min(node.exp, e.exp) for every live edge e.
+        a node whose interval did not grow are no-ops: nodes keep
+        child.exp >= min(node.exp, e.exp) for every edge e.
 
         An offer of edge e adds the child it reaches or, when its
         interval grows, re-parents it; either way the child is pushed for
@@ -255,14 +246,9 @@ class PathStage:
                 for e in edges:
                     e_ts, e_exp = e.interval
                     cand_exp = e_exp if e_exp < exp else exp
-                    if cand_exp <= now:
-                        continue
                     cand_ts = e_ts if e_ts > ts else ts
                     child_pair = (e.trg, t2)
                     child = nodes.get(child_pair)
-                    if child is not None and child.exp <= now:
-                        self._drop_subtree(tree, child_pair)
-                        child = None
                     if child is None:
                         child = TreeNode(e.trg, t2, cand_ts, cand_exp, node.pair, e)
                         self._add_node(tree, child)
@@ -281,33 +267,28 @@ class PathStage:
                     else:
                         continue
                     stack.append(child_pair)
-            while stack:
-                node = nodes.get(stack.pop())
-                if node is not None and node.exp > now:
-                    break
-            else:
+            if not stack:
                 return
+            node = nodes[stack.pop()]
             offers = []
             for lab, t2 in out_trans.get(node.state, ()):
                 bucket = adj.get(lab, {}).get(node.vertex)
                 if bucket:
                     offers.append((bucket.values(), t2))
 
-    def _emit(
-        self, changed: dict[TreeNode, SpanningTree], now: int
-    ) -> list[StreamTuple]:
-        """The result of each changed node that is live and accepting,
-        once, with the witness it has after the whole relaxation."""
+    def _emit(self, changed: dict[TreeNode, SpanningTree]) -> list[StreamTuple]:
+        """The result of each changed node that is accepting, once, with
+        the witness it has after the whole relaxation."""
         accepting = self.dfa.accepting
         return [
             self._result(tree, node, 1) for node, tree in changed.items()
-            if node.exp > now and node.state in accepting
+            if node.state in accepting
         ]
 
     # Deletion: non-tree edges only leave the adjacency; tree edges sever
     # a subtree that is then removed and regrown by relaxation.
 
-    def delete(self, t: StreamTuple, now: int) -> list[StreamTuple]:
+    def delete(self, t: StreamTuple) -> list[StreamTuple]:
         per_src = self.adj.get(t.label, {})
         bucket = per_src.get(t.src)
         if bucket is None or bucket.pop(t.origin, None) is None:
@@ -333,18 +314,16 @@ class PathStage:
             node = tree.nodes.get(pair)
             if node is None or node.via is None or node.via.origin != t.origin:
                 continue
-            self._repair(tree, pair, now, out)
+            self._repair(tree, pair, out)
         return out
 
-    def _repair(self, tree: SpanningTree, severed: Pair, now: int, out) -> None:
+    def _repair(self, tree: SpanningTree, severed: Pair, out) -> None:
         """Remove the severed subtree, then regrow it by relaxing every
-        live edge from a live intact node into a removed pair, widest
-        first; removed results that do not come back are retracted."""
+        edge from an intact node into a removed pair, widest first;
+        removed results that do not come back are retracted."""
         removed = self._drop_subtree(tree, severed)
         seeds = []
         for node in tree.nodes.values():
-            if node.exp <= now:
-                continue
             for lab, t2 in self.out_trans.get(node.state, ()):
                 for e in self.adj.get(lab, {}).get(node.vertex, {}).values():
                     if (e.trg, t2) in removed:
@@ -352,13 +331,12 @@ class PathStage:
         seeds.sort(key=lambda seed: seed[0], reverse=True)
         changed: dict[TreeNode, SpanningTree] = {}
         for _w, node, e, t2 in seeds:
-            self._relax(tree, node, e, t2, now, changed)
+            self._relax(tree, node, e, t2, changed)
         for pair in sorted(removed):
             node = removed[pair]
-            if (pair not in tree.nodes and node.exp > now
-                    and node.state in self.dfa.accepting):
+            if pair not in tree.nodes and node.state in self.dfa.accepting:
                 out.append(self._result(tree, node, -1))
-        out += self._emit(changed, now)
+        out += self._emit(changed)
         if len(tree.nodes) == 1:
             self._remove_tree(tree)
 
@@ -370,7 +348,7 @@ class PathStage:
                 del self.inverted[tree.root_pair]
         del self.trees[tree.root]
 
-    # Slide-boundary sweep; drops only state that ended at or before the
+    # Watermark sweep; drops only state that ended at or before the
     # watermark, silently, in end order and then filing order.
 
     def on_watermark(self, w: int) -> None:
@@ -408,5 +386,5 @@ class PathStage:
 
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
         if t.sign > 0:
-            return self.insert(t, now)
-        return self.delete(t, now)
+            return self.insert(t)
+        return self.delete(t)

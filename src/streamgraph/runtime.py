@@ -3,11 +3,19 @@
 A logical plan compiles into a tree of push-based stages.  Tuples flow
 one at a time from label-bound scans toward the sink.  The driver stamps
 every record with the current event time, fires a watermark whenever the
-stream crosses a slide boundary (before the first record of the new
-slide) and once more at the end, and keeps per-slide wall-clock
-latencies for the metrics report.  A watermark is one purge pass: the
+stream crosses a multiple of the pipeline's step (before the first
+record past it) and once more at the end, and keeps per-step wall-clock
+latencies for the metrics report.  The step, ``Pipeline.slide``, is the
+greatest common divisor of every window's size and slide: every finite
+interval end is a multiple of it, so each entry is purged at the
+instant it ends.  Where each window is a multiple of its slide, the
+step is the smallest slide.  A watermark is one purge pass: the
 pipeline hands it to every stage once, and since expired state vanishes
 silently, no stage emits anything in it and the order does not matter.
+
+The stage contract: ``on_tuple(port, t, now)`` may assume that
+``on_watermark(w)`` has run for every end ``w <= now``, so no stage
+ever meets state that has ended.
 
 Set semantics are restored by a coalescing stage placed behind every
 operator that can produce value-equivalent overlapping tuples: scans,
@@ -20,10 +28,10 @@ matches each deletion to the insertion it undoes.  The sink keeps only
 the emission log: the root Coalesce's advertisements are the live set.
 
 ``run_stream`` keeps the cyclic collector off the live window state.
-Right after every slide-boundary watermark the driver calls
+Right after every watermark at a step boundary the driver calls
 ``gc.freeze()``: it moves every live object into the permanent
 generation, out of reach of every collection, and resets the
-generation-0 count, so a collection can only walk what one slide
+generation-0 count, so a collection can only walk what one step
 allocated.  The generation-0 threshold is still raised to
 ``GC_GEN0_THRESHOLD`` for the run, which the freeze does not make
 redundant: at the default of 700, slides set off 1,803 passes on the
@@ -61,7 +69,7 @@ from streamgraph.pathop import PathStage
 
 # generation-0 threshold (allocations between young collections) during
 # run_stream; a caller's higher threshold is kept.  It bounds the passes
-# that one slide's allocations set off between two freezes.
+# that one step's allocations set off between two freezes.
 GC_GEN0_THRESHOLD = 50_000
 
 
@@ -148,12 +156,12 @@ class Pipeline:
         self.sources: dict[str, list[PipeNode]] = {}
         self.nodes: list[PipeNode] = []
         self._last_watermark = float("-inf")
-        self.slide = min(
-            (n.slide for n in algebra.walk(plan)
-             if isinstance(n, algebra.Window)
-             or (isinstance(n, algebra.Wscan) and n.size is not None)),
-            default=1,
-        )
+        # the watermark step: every finite end is k * slide + size of
+        # some window, or a min or max of such ends, so a multiple of it
+        self.slide = math.gcd(*(
+            v for n in algebra.walk(plan) if isinstance(n, algebra.Window)
+            or (isinstance(n, algebra.Wscan) and n.size is not None)
+            for v in (n.size, n.slide))) or 1
         self._ids = 0
         top = self._add(None, None, 0, "sink")
         self._build(plan, top, 0)
@@ -281,13 +289,13 @@ def run_stream(
 
     The collector's generation-0 threshold is at least
     ``GC_GEN0_THRESHOLD`` during the run, and every object live at a
-    slide boundary is frozen (``gc.freeze``), so that no collection walks
+    step boundary is frozen (``gc.freeze``), so that no collection walks
     the window state.  When the run ends or raises, the caller's
     thresholds are restored (a disabled collector stays disabled) and,
     if nothing was frozen when the run began, everything is unfrozen.  A
     caller that had frozen objects keeps everything frozen, what the run
     left alive included, until it calls ``gc.unfreeze`` itself.  Cycles
-    that ``on_instant`` makes are frozen at the next slide boundary and
+    that ``on_instant`` makes are frozen at the next step boundary and
     can only be collected after the run.
     """
     saved = gc.get_threshold()

@@ -21,6 +21,7 @@ by ``;`` (``-`` when empty).
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from typing import Iterable, TextIO
@@ -120,8 +121,10 @@ def generate_synthetic(
         raise ValueError(f"vertices must be an integer >= 2, got {vertices!r}")
     if not isinstance(edges, int) or edges < 0:
         raise ValueError(f"edges must be an integer >= 0, got {edges!r}")
-    if not isinstance(rate, (int, float)) or not rate > 0:
-        raise ValueError(f"rate must be a number > 0, got {rate!r}")
+    if not isinstance(rate, (int, float)) or not (
+            rate > 0 and math.isfinite((edges - 1) / rate)):
+        raise ValueError(f"rate must be a number > 0 that keeps every "
+                         f"timestamp finite, got {rate!r}")
     if not isinstance(cyclicity, (int, float)) or not 0 <= cyclicity <= 1:
         raise ValueError(f"cyclicity must be a number in [0, 1], got {cyclicity!r}")
     if not isinstance(seed, int):

@@ -337,7 +337,7 @@ def test_tree_expiries_match_exhaustive_enumeration():
             exp = rng.randint(1, 50)
             edges.append((src, trg, lab, exp))
             st.insert(StreamTuple(src, trg, lab, Interval(0, exp),
-                                  ((src, lab, trg),), 1, origin=j), 0)
+                                  ((src, lab, trg),), 1, origin=j))
         for root, tree in st.trees.items():
             table = exhaustive_widest(edges, dfa, root)
             for pair, node in tree.nodes.items():
@@ -457,9 +457,10 @@ def test_insert_delete_fuzz_matches_from_scratch_oracle():
 
 def test_mid_slide_expiry_fuzz_matches_from_scratch_oracle():
     """A window that is not a multiple of its slide ends edges between
-    watermarks, so dead adjacency entries linger until the next purge
-    and some deletions retract already-ended edges; trees and results
-    still match the oracle at every instant."""
+    slide boundaries, and some deletions retract already-ended edges;
+    the watermark step is the gcd of size and slide, so no ended edge
+    lingers in any adjacency, and trees and results match the oracle at
+    every instant."""
     lingered = 0
     for seed_shift, name in enumerate(("closure", "step_closure",
                                        "chain_closure", "siblings_closure")):
@@ -483,7 +484,76 @@ def test_mid_slide_expiry_fuzz_matches_from_scratch_oracle():
                                 for e in bucket.values())
 
         run_stream(pipe, events, instants=list(range(len(events))), on_instant=at)
-    assert lingered > 0
+    assert lingered == 0
+
+
+# a plan whose two windows purge on different slides (10/5 and 9/3)
+MIXED_SLIDE_PLAN = ("union[D](path[a+ -> P](wscan[a size=10 slide=5]),"
+                    " wscan[b size=9 slide=3])")
+
+
+def _emission_instants(monkeypatch) -> list[int]:
+    """The ``now`` at which the sink receives each emission, in log
+    order, for every pipeline run after this call."""
+    nows: list[int] = []
+    inner = runtime.OutputSink.on_tuple
+
+    def recording(self, port, t, now):
+        nows.append(now)
+        return inner(self, port, t, now)
+
+    monkeypatch.setattr(runtime.OutputSink, "on_tuple", recording)
+    return nows
+
+
+def _expiry_cases():
+    events = _fuzz_events(seed=7, ops=3000)
+    for name, text in TABLE_QUERIES.items():
+        yield name, to_plan(parse_query(text, window=10, slide=3)), events
+    yield "mixed slides", algebra.parse_plan(MIXED_SLIDE_PLAN), events
+
+
+def test_expiry_never_retracts(monkeypatch):
+    """Expiry drops state silently; only explicit deletions and
+    retract-and-replace merges retract.  At window 10, slide 3, where
+    ends fall between slide boundaries, and in a plan that mixes slides,
+    no retraction names a result that had ended by the instant it was
+    emitted, and no two net results of one key overlap."""
+    nows = _emission_instants(monkeypatch)
+    retractions = 0
+    for name, plan, events in _expiry_cases():
+        nows.clear()
+        pipe = compile_plan(plan)
+        run_stream(pipe, events)
+        log = pipe.sink.log
+        assert len(nows) == len(log), name
+        retractions += sum(t.sign < 0 for t in log)
+        ended = [(now, format_result(t)) for now, t in zip(nows, log)
+                 if t.sign < 0 and t.exp <= now]
+        assert ended == [], name
+        spans: dict[tuple, list[Interval]] = {}
+        for t in net_results(log):
+            spans.setdefault(t.key, []).append(t.interval)
+        for key, ivs in spans.items():
+            ivs.sort()
+            assert all(a.end <= b.start for a, b in zip(ivs, ivs[1:])), (name, key, ivs)
+    assert retractions > 0
+
+
+@pytest.mark.parametrize("plan, lines, want", [
+    (to_plan(parse_query(TABLE_QUERIES["closure"], window=10, slide=3)),
+     [("r", "x", "a", 4), ("r", "x", "a", 13)],
+     ["+ r x $a_plus 4 13 r:a:x", "+ r x $a_plus 13 22 r:a:x"]),
+    (algebra.parse_plan(MIXED_SLIDE_PLAN),
+     [("r", "x", "a", 0), ("q", "q", "b", 1), ("r", "x", "a", 11)],
+     ["+ r x D 0 10 r:a:x", "+ q q D 1 9 q:b:q", "+ r x D 11 20 r:a:x"]),
+], ids=["one-query", "mixed-slides"])
+def test_a_result_that_comes_back_after_its_end_is_not_retracted(plan, lines, want):
+    """The same result again, after the first one ended and before a
+    slide boundary, is a new result; the ended one stays in the log."""
+    pipe = compile_plan(plan)
+    run_stream(pipe, [EdgeEvent(*line, 1, uid) for uid, line in enumerate(lines)])
+    assert [format_result(t) for t in pipe.sink.log] == want
 
 
 # -------------------------------------- 6. plan-rewrite soundness

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from streamgraph import cli
+from streamgraph import cli, runtime
+from streamgraph.model import Interval, StreamTuple
 
 NOTIFY_QUERY = """\
 WINDOW 24 SLIDE 1
@@ -142,6 +143,27 @@ def test_check_fails_when_the_reference_disagrees(tmp_path, capsys, monkeypatch)
     assert "FAIL:" in out
 
 
+def test_dense_check_fails_when_the_log_retracts_an_ended_result(
+        tmp_path, capsys, monkeypatch):
+    qf, sf = notify_args(tmp_path)
+    inner = runtime.OutputSink.on_tuple
+
+    def with_ended_retraction(self, port, t, now):
+        # after each emission, log a retraction of a result that ended at now
+        out = inner(self, port, t, now)
+        self.log.append(StreamTuple(t.src, t.trg, t.label, Interval(now - 1, now),
+                                    sign=-1, origin="ended"))
+        return out
+
+    monkeypatch.setattr(runtime.OutputSink, "on_tuple", with_ended_retraction)
+    assert cli.main([
+        "check", "--query", qf, "--input", sf, "--instants", "dense",
+    ]) == 1
+    out = capsys.readouterr().out
+    assert "t=28: retracted an ended result - y m1 Answer 27 28 -\n" in out
+    assert "missing=" not in out and "FAIL:" in out
+
+
 def test_gen_is_deterministic_and_parseable(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(
@@ -167,6 +189,8 @@ def test_gen_is_deterministic_and_parseable(tmp_path):
     pytest.param({"vertices": 6, "edges": -1}, "edges must be", id="edges-negative"),
     pytest.param({"vertices": 6, "edges": 5, "rate": -1}, "rate must be", id="rate-negative"),
     pytest.param({"vertices": 6, "edges": 5, "rate": 0}, "rate must be", id="rate-0"),
+    pytest.param({"vertices": 3, "edges": 3, "rate": 5e-324}, "rate must be",
+                 id="rate-overflows-timestamps"),
     pytest.param({"vertices": 6, "edges": 5, "cyclicity": 1.5}, "cyclicity must be",
                  id="cyclicity-above-1"),
     pytest.param({"vertices": 6, "edges": 5, "seed": [1]}, "seed must be", id="seed-list"),

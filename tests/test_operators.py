@@ -423,14 +423,6 @@ def test_join_insert_then_delete_equals_never_inserted():
     assert _live_rows(j1) == _live_rows(j2)
 
 
-def test_join_probe_drops_expired_entries():
-    j = PatternStage(2, chain_condition(2), "J")
-    j.on_tuple(0, sgt("a", "b", "l", 0, 5, origin=1), 0)
-    # probing at 6 skips and removes the expired row
-    assert j.on_tuple(1, sgt("b", "c", "m", 6, 10, origin=2), 6) == []
-    assert all(not bucket for bucket in j.left[1].values())
-
-
 def test_join_watermark_purges_only_expired_state():
     j = PatternStage(2, chain_condition(2), "J")
     j.on_tuple(0, sgt("a", "b", "l", 0, 5, origin=1), 0)

@@ -299,11 +299,12 @@ def test_expired_nodes_are_treated_as_absent_and_rebuilt():
     st = stage("a+", "P")
     st.on_tuple(0, sgt("r", "a", "a", 0, 10, 1), 0)
     st.on_tuple(0, sgt("a", "b", "a", 0, 10, 2), 0)
-    # (a,1) in the tree of r is expired at 12: its subtree is dropped and
-    # nothing expands there; only the new tree rooted at a emits
+    # the purge at 10 drops both trees and both edges; only the new tree
+    # rooted at a emits
+    st.on_watermark(10)
+    assert st.trees == {} and st.adj == {}
     out = st.on_tuple(0, sgt("a", "c", "a", 12, 20, 3), 12)
     assert {(t.src, t.trg) for t in out} == {("a", "c")}
-    assert ("a", 1) not in st.trees["r"].nodes
     # a fresh witness rebuilds (a,1) and reaches only live edges
     out = st.on_tuple(0, sgt("r", "a", "a", 12, 25, 4), 12)
     assert {(t.trg, t.ts, t.exp) for t in out} == {("a", 12, 25), ("c", 12, 20)}
@@ -382,18 +383,16 @@ def test_repair_refreshes_cached_payloads_below():
 @pytest.mark.parametrize("payload", ["derived", "expanded"])
 @pytest.mark.parametrize("regex", ["a+", "(a.b)+", "(a|b)+"])
 def test_cached_payloads_match_parent_chain_walk(regex, payload):
-    """Seeded insert/delete streams whose edges expire between slide
-    boundaries (watermarks every 5 instants)."""
+    """Seeded insert/delete streams whose edges expire at varied
+    instants, with a watermark before every operation."""
     for trial in range(6):
         rng = random.Random(100 * trial + zlib.crc32(regex.encode()) % 100)
         st = stage(regex, "P", payload=payload)
         verts = [f"n{i}" for i in range(rng.randint(3, 6))]
-        live, now, wm = {}, 0, 0
+        live, now = {}, 0
         for op in range(80):
             now += rng.randint(0, 2)
-            if now // 5 * 5 > wm:
-                wm = now // 5 * 5
-                st.on_watermark(wm)
+            st.on_watermark(now)
             live = {o: t for o, t in live.items() if t.exp > now}
             if live and rng.random() < 0.3:
                 o = rng.choice(sorted(live))
@@ -441,6 +440,7 @@ def test_random_ops_preserve_widest_validity_invariant(regex):
         live, emitted, now = {}, {}, 0
         for op in range(60):
             now += rng.randint(0, 2)
+            st.on_watermark(now)
             if live and rng.random() < 0.35:
                 o = rng.choice(sorted(live))
                 s, d, lab, ts, exp = live.pop(o)

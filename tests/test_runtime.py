@@ -127,11 +127,18 @@ def test_notify_plan_compiles_with_coalescing_behind_every_stateful_stage():
     assert pipe.slide == 1
 
 
-def test_slide_is_the_minimum_over_all_window_stages():
+@pytest.mark.parametrize("a, b, step", [
+    ((10, 4), (12, 6), 2),
+    ((20, 5), (30, 10), 5),
+], ids=["gcd-below-the-slides", "gcd-is-the-smallest-slide"])
+def test_slide_is_the_gcd_of_every_window_size_and_slide(a, b, step):
+    """Every finite end is a multiple of the step, so it is purged at the
+    instant it ends; where every window is a multiple of its slide, the
+    step is the smallest slide."""
     plan = algebra.Pattern(
         children=(
-            algebra.Window(algebra.Wscan("a"), 10, 4),
-            algebra.Wscan("b", 12, 6),
+            algebra.Window(algebra.Wscan("a"), *a),
+            algebra.Wscan("b", *b),
         ),
         condition=algebra.JoinCondition(
             equalities=((algebra.Pos(0, "trg"), algebra.Pos(1, "src")),),
@@ -140,7 +147,7 @@ def test_slide_is_the_minimum_over_all_window_stages():
         ),
         label="J",
     )
-    assert compile_plan(plan).slide == 4
+    assert compile_plan(plan).slide == step
 
 
 def test_tap_on_unknown_label_raises():
