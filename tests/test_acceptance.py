@@ -6,9 +6,10 @@ evaluator over the eight catalog query shapes, the widest-expiry tree
 invariant against exhaustive path enumeration, equivalence of direct
 expiry and synthesized expiry-deletions, explicit-deletion fuzzing,
 plan-rewrite soundness, automaton correctness, a desk-scale performance
-budget, set semantics of every coalesced stream, that all operator
-state drains once every tuple has expired, that compiling and running
-a plan leaves no reference cycles, and reproducible outputs
+budget, set semantics of every coalesced stream, that expiry never
+retracts a result, that all operator state drains once every tuple has
+expired, that compiling and running a plan leaves no reference cycles,
+and reproducible outputs
 (independent of the string-hash seed, and pinned per catalog shape).
 Time budgets are asserted inside the tests that carry one.
 
@@ -492,10 +493,13 @@ MIXED_SLIDE_PLAN = ("union[D](path[a+ -> P](wscan[a size=10 slide=5]),"
                     " wscan[b size=9 slide=3])")
 
 
-def _emission_instants(monkeypatch) -> list[int]:
-    """The ``now`` at which the sink receives each emission, in log
-    order, for every pipeline run after this call."""
-    nows: list[int] = []
+def test_expiry_never_retracts(monkeypatch):
+    """Expiry drops state silently; only explicit deletions and
+    retract-and-replace merges retract.  At window 10, slide 3, where
+    ends fall between slide boundaries, and in a plan that mixes slides,
+    no retraction names a result that had ended by the instant it was
+    emitted, and no two net results of one key overlap."""
+    nows: list[int] = []  # the now of each emission the sink receives
     inner = runtime.OutputSink.on_tuple
 
     def recording(self, port, t, now):
@@ -503,25 +507,12 @@ def _emission_instants(monkeypatch) -> list[int]:
         return inner(self, port, t, now)
 
     monkeypatch.setattr(runtime.OutputSink, "on_tuple", recording)
-    return nows
-
-
-def _expiry_cases():
     events = _fuzz_events(seed=7, ops=3000)
-    for name, text in TABLE_QUERIES.items():
-        yield name, to_plan(parse_query(text, window=10, slide=3)), events
-    yield "mixed slides", algebra.parse_plan(MIXED_SLIDE_PLAN), events
-
-
-def test_expiry_never_retracts(monkeypatch):
-    """Expiry drops state silently; only explicit deletions and
-    retract-and-replace merges retract.  At window 10, slide 3, where
-    ends fall between slide boundaries, and in a plan that mixes slides,
-    no retraction names a result that had ended by the instant it was
-    emitted, and no two net results of one key overlap."""
-    nows = _emission_instants(monkeypatch)
+    plans = {name: to_plan(parse_query(text, window=10, slide=3))
+             for name, text in TABLE_QUERIES.items()}
+    plans["mixed slides"] = algebra.parse_plan(MIXED_SLIDE_PLAN)
     retractions = 0
-    for name, plan, events in _expiry_cases():
+    for name, plan in plans.items():
         nows.clear()
         pipe = compile_plan(plan)
         run_stream(pipe, events)
