@@ -9,8 +9,10 @@ Subcommands:
     gen    produce a synthetic edge-stream file from a JSON spec
 
 Every command exits 0 on success; ``check`` exits 1 when any instant
-differs or, in dense mode, when the log retracts a result that had
-ended; usage and input errors print one line to stderr and exit 2.
+differs, in the engine's live set or in the written log replayed up to
+it, when the log retracts a result it never wrote or, in dense mode,
+one that had ended; usage and input errors print one line to stderr
+and exit 2.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from streamgraph import algebra
 from streamgraph.oracle import answer_pairs, eval_query_at
@@ -117,18 +120,35 @@ def cmd_check(args) -> int:
         ),
     )
     diffs = seen = 0
+    # the log as a consumer replays it: each - line cancels an earlier,
+    # still live + line with the same key, interval and payload
+    live: Counter = Counter()
     for t, engine, logged in got:
         want = answer_pairs(eval_query_at(q, events, t))
-        # dense instants are every instant, so the entries logged since
-        # the previous one were emitted at t; expiry never retracts
-        ended = [format_result(x) for x in pipe.sink.log[seen:logged]
-                 if dense and x.sign < 0 and x.exp <= t]
+        bad = []
+        for x in pipe.sink.log[seen:logged]:
+            line = (x.key, x.interval, x.payload)
+            if x.sign > 0:
+                live[line] += 1
+            elif dense and x.exp <= t:
+                # dense instants are every instant, so the entries logged
+                # since the previous one were emitted at t; expiry never
+                # retracts
+                bad.append(f"retracted an ended result {format_result(x)}")
+            elif live[line]:
+                live[line] -= 1
+            else:
+                bad.append(f"retracted an unknown result {format_result(x)}")
         seen = logged
-        diffs += engine != want or bool(ended)
+        written = {key[:2] for (key, iv, _p), n in live.items() if n and iv.contains(t)}
+        diffs += engine != want or written != want or bool(bad)
         if engine != want:
             print(f"t={t}: missing={sorted(want - engine)} extra={sorted(engine - want)}")
-        for line in ended:
-            print(f"t={t}: retracted an ended result {line}")
+        if written != want:
+            print(f"t={t}: written log missing={sorted(want - written)} "
+                  f"extra={sorted(written - want)}")
+        for line in bad:
+            print(f"t={t}: {line}")
     if diffs:
         print(f"FAIL: {diffs} of {len(got)} instants differ")
         return 1

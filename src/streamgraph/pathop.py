@@ -19,38 +19,37 @@ node's witness changes, and so do those of all the nodes below it, even
 where their intervals stay.  Once the relaxation ends, each node whose
 witness changed is emitted once, if it is accepting.
 
-The driver purges at every instant an interval can end, before any
-input at that instant (see runtime.py), so nothing here meets a node or
-an edge that has ended.  Two calendar indexes (``ExpiryIndex``, keyed
-by end value) hand back exactly the tree nodes and adjacency edges filed
-under an end the watermark has passed, so the sweep costs O(expired),
-not O(state).  Expiry drops state silently; only explicit deletions
-retract results.
-
 Deleting a tree edge severs a subtree.  A node reached over edge e sits
 at (e.trg, the state e's label leads to), so the pair index finds every
-tree that uses e.  The subtree is removed, as expiry removes one, and
-regrown by the relaxation insertions use: every edge from an intact
-node into a removed pair is offered, widest first.  Removing the
-subtree leaves exactly those edges breaking the invariant above, so
-relaxing them yields the widest tree again.  Every regrown node is new,
-so its result is emitted once with its new witness; a removed result
-that does not come back is retracted.
+tree that uses e.  The subtree is removed and regrown by the relaxation
+insertions use: every edge from an intact node into a removed pair is
+offered, widest first.  Removing the subtree leaves exactly those edges
+breaking the invariant above, so relaxing them yields the widest tree
+again.  Every regrown node is new, so its result is emitted once with
+its new witness; a removed result that does not come back is retracted.
+
+Expiry is a deletion that does not regrow.  The driver purges at every
+instant an interval can end, before any input at that instant (see
+runtime.py), so nothing here meets a node or an edge that has ended.
+The one calendar index (``ExpiryIndex``, keyed by end value) hands back
+exactly the adjacency edges filed under an end the watermark has
+passed.  Once a relaxation ends, every node keeps
+node.exp == min(parent.exp, via.exp), so a node that has ended came in
+over an ended edge or hangs below one that did: dropping the subtree
+below every node reached over an ended edge drops exactly the ended
+nodes, silently, at a cost of O(expired), not O(state).  Only explicit
+deletions retract results.
 
 A node's start is its witness's start when it enters the tree, and the
 earlier of its old start and the new witness's start when an insertion
 re-parents it onto a wider path.
 
-Every node caches the payload of its witness path, stamped with the
-version of its tree; the tree's version goes up on every re-parent,
-which is the only way an existing node's path can change, and a stale
-stamp makes the payload be rebuilt from the nearest ancestor whose stamp
-is current.  Nothing else can leave a stale cache behind: a new node is
-a leaf, a removed node takes its subtree with it, and since no node
-outlives its parent (child.exp <= parent.exp), an expired node's subtree
-expires with it.  So a result whose parent's stamp is current costs one
-new payload tuple, the parent's one hop longer, and siblings share the
-parent's hops.
+Every node carries the payload of its witness path: its parent's
+payload plus the hop its own edge adds.  It is set whenever the witness
+is: when the node is added, and on a re-parent, for the node and every
+node below it, parents before children.  A removed node takes its
+subtree with it, so no payload outlives its path, and siblings share
+their parent's hops.
 """
 
 from __future__ import annotations
@@ -67,18 +66,18 @@ Pair = tuple[str, int]
 
 class TreeNode:
     """A (vertex, state) pair of one spanning tree, with its widest
-    interval and witness: the edge ``via`` from ``parent``.  ``payload``
-    is the witness path's payload when ``pver`` equals the tree's
-    version."""
+    interval and witness: the edge ``via`` from ``parent``, and the
+    witness path's ``payload``."""
 
     __slots__ = (
         "vertex", "state", "pair", "ts", "exp", "parent", "via", "children",
-        "payload", "pver",
+        "payload",
     )
 
     def __init__(
         self, vertex: str, state: int, ts: float, exp: float,
         parent: Pair | None = None, via: StreamTuple | None = None,
+        payload: tuple = (),
     ) -> None:
         self.vertex = vertex
         self.state = state
@@ -88,8 +87,7 @@ class TreeNode:
         self.parent = parent
         self.via = via
         self.children: set[Pair] = set()
-        self.payload: tuple = ()
-        self.pver = -1
+        self.payload = payload
 
 
 class SpanningTree:
@@ -99,8 +97,6 @@ class SpanningTree:
         self.nodes: dict[Pair, TreeNode] = {
             self.root_pair: TreeNode(root, start_state, float("-inf"), float("inf"))
         }
-        # bumped on every re-parent; stamps cached payloads
-        self.version = 0
 
 
 class PathStage:
@@ -118,15 +114,16 @@ class PathStage:
         for (s, lab), t in sorted(dfa.transitions.items()):
             self.out_trans.setdefault(s, []).append((lab, t))
             self.by_label.setdefault(lab, []).append((s, t))
+        # label -> the states it leads to, where a node reached over it sits
+        self.targets = {lab: sorted({t for _s, t in pairs})
+                        for lab, pairs in self.by_label.items()}
         # adjacency over the automaton alphabet: label -> src -> origin -> sgt
         self.adj: dict[str, dict[str, dict[object, StreamTuple]]] = {}
         self.trees: dict[str, SpanningTree] = {}
         # pair -> roots of the trees holding it, in insertion order, so
         # that relaxation order never follows string hashing
         self.inverted: dict[Pair, dict[str, None]] = {}
-        # expiry hints: (root, pair) per node expiry, (label, src, origin)
-        # per adjacency edge
-        self.node_expiry = ExpiryIndex()
+        # (label, src, origin) per adjacency edge, by end
         self.adj_expiry = ExpiryIndex()
 
     # Bookkeeping helpers keep nodes and the pair index in lockstep.
@@ -134,30 +131,17 @@ class PathStage:
     def _add_node(self, tree: SpanningTree, node: TreeNode) -> None:
         tree.nodes[node.pair] = node
         self.inverted.setdefault(node.pair, {})[tree.root] = None
-        if node.parent is not None:
-            tree.nodes[node.parent].children.add(node.pair)
-        self.node_expiry.add(node.exp, (tree.root, node.pair))
-
-    def _set_parent(
-        self, tree: SpanningTree, node: TreeNode, parent: Pair, via: StreamTuple
-    ) -> None:
-        tree.nodes[node.parent].children.discard(node.pair)
-        node.parent = parent
-        node.via = via
-        tree.nodes[parent].children.add(node.pair)
-        tree.version += 1
+        tree.nodes[node.parent].children.add(node.pair)
 
     def _remove_node(self, tree: SpanningTree, pair: Pair) -> None:
         node = tree.nodes.pop(pair)
-        if node.parent is not None:
-            parent = tree.nodes.get(node.parent)
-            if parent is not None:
-                parent.children.discard(pair)
-        roots = self.inverted.get(pair)
-        if roots is not None:
-            roots.pop(tree.root, None)
-            if not roots:
-                del self.inverted[pair]
+        parent = tree.nodes.get(node.parent)
+        if parent is not None:
+            parent.children.discard(pair)
+        roots = self.inverted[pair]
+        del roots[tree.root]
+        if not roots:
+            del self.inverted[pair]
 
     def _drop_subtree(self, tree: SpanningTree, pair: Pair) -> dict[Pair, TreeNode]:
         """Remove the node at pair and everything below it, silently;
@@ -166,30 +150,26 @@ class PathStage:
         stack = [pair]
         while stack:
             p = stack.pop()
-            node = tree.nodes.get(p)
-            if node is None:
-                continue
+            node = removed[p] = tree.nodes[p]
             stack.extend(node.children)
             self._remove_node(tree, p)
-            removed[p] = node
         return removed
 
-    def _path_payload(self, tree: SpanningTree, node: TreeNode) -> tuple:
-        """The payload of node's witness path, from the nearest cached
-        ancestor (the root's payload is empty), caching it on the way."""
-        version = tree.version
-        chain: list[TreeNode] = []
-        while node.pver != version and node.parent is not None:
-            chain.append(node)
-            node = tree.nodes[node.parent]
-        payload = node.payload
-        derived = self.payload_mode == "derived"
-        for node in reversed(chain):
-            h = node.via
-            payload += ((h.src, h.label, h.trg),) if derived else h.payload
-            node.payload = payload
-            node.pver = version
-        return payload
+    def _reached_over(self, e: StreamTuple) -> list[tuple[str, Pair]]:
+        """(root, pair) of every tree node whose witness ends in edge e:
+        each sits at (e.trg, a state e's label leads to)."""
+        found = []
+        for t2 in self.targets[e.label]:
+            pair = (e.trg, t2)
+            for root in self.inverted.get(pair, ()):
+                via = self.trees[root].nodes[pair].via
+                if via is not None and via.origin == e.origin:
+                    found.append((root, pair))
+        return found
+
+    def _hop(self, e: StreamTuple) -> tuple:
+        """What edge e adds to the payload of a path through it."""
+        return ((e.src, e.label, e.trg),) if self.payload_mode == "derived" else e.payload
 
     def _result(self, tree: SpanningTree, node: TreeNode, sign: int) -> StreamTuple:
         return StreamTuple(
@@ -197,7 +177,7 @@ class PathStage:
             node.vertex,
             self.label,
             Interval(node.ts, node.exp),
-            self._path_payload(tree, node) if sign > 0 else (),
+            node.payload if sign > 0 else (),
             sign,
             origin=("p", self.op_id, tree.root, node.vertex, node.state),
         )
@@ -234,9 +214,10 @@ class PathStage:
         interval grows, re-parents it; either way the child is pushed for
         expansion.  Every node whose witness changed is recorded in
         changed, with its tree: an added or re-parented node, and every
-        node below a re-parented one, whose witness runs through it."""
+        node below a re-parented one, whose witness runs through it.
+        Each of them takes its parent's payload plus its own hop, parents
+        before children."""
         nodes = tree.nodes
-        root = tree.root
         out_trans, adj = self.out_trans, self.adj
         stack: list[Pair] = []
         offers = (((t,), t2),)
@@ -250,18 +231,21 @@ class PathStage:
                     child_pair = (e.trg, t2)
                     child = nodes.get(child_pair)
                     if child is None:
-                        child = TreeNode(e.trg, t2, cand_ts, cand_exp, node.pair, e)
+                        child = TreeNode(e.trg, t2, cand_ts, cand_exp, node.pair, e,
+                                         node.payload + self._hop(e))
                         self._add_node(tree, child)
                         changed[child] = tree
                     elif child.exp < cand_exp:
-                        self._set_parent(tree, child, node.pair, e)
+                        nodes[child.parent].children.discard(child_pair)
+                        node.children.add(child_pair)
+                        child.parent, child.via = node.pair, e
                         child.exp = cand_exp
                         if cand_ts < child.ts:
                             child.ts = cand_ts
-                        self.node_expiry.add(cand_exp, (root, child_pair))
                         below = [child_pair]
                         while below:
                             n = nodes[below.pop()]
+                            n.payload = nodes[n.parent].payload + self._hop(n.via)
                             changed[n] = tree
                             below += sorted(n.children, reverse=True)
                     else:
@@ -298,23 +282,14 @@ class PathStage:
         # unwindowed edges are never filed for expiry, so no purge would
         # come back for an emptied bucket
         self._drop_if_empty(t.label, per_src, t.src)
-        # a node reached over t sits at (t.trg, a state t's label leads to)
-        severed = []
-        for t2 in {t2 for _s, t2 in self.by_label[t.label]}:
-            pair = (t.trg, t2)
-            for root in self.inverted.get(pair, ()):
-                via = self.trees[root].nodes[pair].via
-                if via is not None and via.origin == t.origin:
-                    severed.append((root, pair))
         out: list[StreamTuple] = []
-        for root, pair in sorted(severed):
+        for root, pair in sorted(self._reached_over(t)):
+            # an earlier repair may have removed the tree, or the node,
+            # or regrown it over another edge
             tree = self.trees.get(root)
-            if tree is None:
-                continue
-            node = tree.nodes.get(pair)
-            if node is None or node.via is None or node.via.origin != t.origin:
-                continue
-            self._repair(tree, pair, out)
+            node = tree.nodes.get(pair) if tree is not None else None
+            if node is not None and node.via.origin == t.origin:
+                self._repair(tree, pair, out)
         return out
 
     def _repair(self, tree: SpanningTree, severed: Pair, out) -> None:
@@ -341,30 +316,14 @@ class PathStage:
             self._remove_tree(tree)
 
     def _remove_tree(self, tree: SpanningTree) -> None:
-        roots = self.inverted.get(tree.root_pair)
-        if roots is not None:
-            roots.pop(tree.root, None)
-            if not roots:
-                del self.inverted[tree.root_pair]
+        self._remove_node(tree, tree.root_pair)
         del self.trees[tree.root]
 
-    # Watermark sweep; drops only state that ended at or before the
-    # watermark, silently, in end order and then filing order.
+    # Watermark sweep: drops only state that ended at or before the
+    # watermark, silently: every ended edge, and the subtree below every
+    # node reached over it, and then any tree left with only its root.
 
     def on_watermark(self, w: int) -> None:
-        touched: set[str] = set()
-        for root, pair in self.node_expiry.expired(w):
-            tree = self.trees.get(root)
-            if tree is None:
-                continue
-            node = tree.nodes.get(pair)
-            if node is not None and node.exp <= w:
-                self._remove_node(tree, pair)
-                touched.add(root)
-        for root in touched:
-            tree = self.trees.get(root)
-            if tree is not None and len(tree.nodes) == 1:
-                self._remove_tree(tree)
         for lab, src, origin in self.adj_expiry.expired(w):
             per_src = self.adj.get(lab)
             bucket = per_src.get(src) if per_src is not None else None
@@ -373,6 +332,13 @@ class PathStage:
             e = bucket.get(origin)
             if e is not None and e.exp <= w:
                 del bucket[origin]
+                for root, pair in self._reached_over(e):
+                    # an earlier drop may have taken the node and its tree
+                    tree = self.trees.get(root)
+                    if tree is not None and pair in tree.nodes:
+                        self._drop_subtree(tree, pair)
+                        if len(tree.nodes) == 1:
+                            self._remove_tree(tree)
             self._drop_if_empty(lab, per_src, src)
 
     def _drop_if_empty(self, label: str, per_src: dict, src: str) -> None:

@@ -2,16 +2,20 @@
 
 A logical plan compiles into a tree of push-based stages.  Tuples flow
 one at a time from label-bound scans toward the sink.  The driver stamps
-every record with the current event time, fires a watermark whenever the
-stream crosses a multiple of the pipeline's step (before the first
-record past it) and once more at the end, and keeps per-step wall-clock
-latencies for the metrics report.  The step, ``Pipeline.slide``, is the
-greatest common divisor of every window's size and slide: every finite
-interval end is a multiple of it, so each entry is purged at the
-instant it ends.  Where each window is a multiple of its slide, the
-step is the smallest slide.  A watermark is one purge pass: the
+every record with the current event time, and fires a watermark
+whenever the stream crosses a multiple of the pipeline's step (before
+the first record past it) and once more at the end.  The step,
+``Pipeline.slide``, is the greatest common divisor of every window's
+size and slide: every finite interval end is a multiple of it, so each
+entry is purged at the instant it ends.  It is the smallest slide only
+where that slide divides every window's size and slide: windows (12, 4)
+and (18, 6) purge every 2 instants.  A watermark is one purge pass: the
 pipeline hands it to every stage once, and since expired state vanishes
 silently, no stage emits anything in it and the order does not matter.
+
+The metrics report counts slides of the smallest window slide, which
+the step divides, not purge steps: one wall-clock latency per crossing
+of a multiple of it, and one for the rest of the stream at the end.
 
 The stage contract: ``on_tuple(port, t, now)`` may assume that
 ``on_watermark(w)`` has run for every end ``w <= now``, so no stage
@@ -156,12 +160,14 @@ class Pipeline:
         self.sources: dict[str, list[PipeNode]] = {}
         self.nodes: list[PipeNode] = []
         self._last_watermark = float("-inf")
+        windows = [(n.size, n.slide) for n in algebra.walk(plan)
+                   if isinstance(n, algebra.Window)
+                   or (isinstance(n, algebra.Wscan) and n.size is not None)]
         # the watermark step: every finite end is k * slide + size of
         # some window, or a min or max of such ends, so a multiple of it
-        self.slide = math.gcd(*(
-            v for n in algebra.walk(plan) if isinstance(n, algebra.Window)
-            or (isinstance(n, algebra.Wscan) and n.size is not None)
-            for v in (n.size, n.slide))) or 1
+        self.slide = math.gcd(*(v for w in windows for v in w)) or 1
+        # the unit of the metrics' slides and latencies
+        self.min_slide = min((slide for _size, slide in windows), default=1)
         self._ids = 0
         top = self._add(None, None, 0, "sink")
         self._build(plan, top, 0)
@@ -316,7 +322,7 @@ def run_stream(
 
 
 def _drive(pipeline: Pipeline, events, instants, on_instant) -> Metrics:
-    beta = pipeline.slide
+    beta, sigma = pipeline.slide, pipeline.min_slide
     instants = sorted(instants) if instants else []
     idx = 0
     m = Metrics()
@@ -342,10 +348,11 @@ def _drive(pipeline: Pipeline, events, instants, on_instant) -> Metrics:
         elif boundary > wm:
             pipeline.watermark(boundary)
             gc.freeze()  # no collection walks the state live now
+            if boundary // sigma > wm // sigma:
+                now_t = time.perf_counter()
+                m.slide_latencies.append(now_t - last_mark)
+                last_mark = now_t
             wm = boundary
-            now_t = time.perf_counter()
-            m.slide_latencies.append(now_t - last_mark)
-            last_mark = now_t
         prev_ts = e.ts
         pipeline.feed(e)
         m.events_in += 1
@@ -360,11 +367,12 @@ def _drive(pipeline: Pipeline, events, instants, on_instant) -> Metrics:
         if final > wm:
             pipeline.watermark(final)
             gc.freeze()
-            wm = final
-            now_t = time.perf_counter()
-            m.slide_latencies.append(now_t - last_mark)
+        # the last slide, cut short or not, ends at the final flush
+        last = -(-final // sigma)
+        if last > wm // sigma:
+            m.slide_latencies.append(time.perf_counter() - last_mark)
+        m.slides = int(last - base // sigma)
     m.elapsed = time.perf_counter() - t0
-    m.slides = 0 if base is None else int((wm - base) // beta)
     m.emissions = len(pipeline.sink.log)
     return m
 

@@ -744,7 +744,6 @@ def _held_state(stage) -> dict[str, int]:
     elif isinstance(stage, PathStage):
         tables = {"trees": len(stage.trees), "inverted": len(stage.inverted),
                   "adj": sum(map(len, stage.adj.values())),
-                  "node_expiry": len(stage.node_expiry),
                   "adj_expiry": len(stage.adj_expiry)}
     else:
         assert isinstance(stage, (runtime.OutputSink, operators.WindowScan,

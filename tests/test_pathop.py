@@ -273,7 +273,7 @@ def test_deleting_an_unwindowed_edge_leaves_no_empty_bucket():
     st.on_watermark(10 ** 9)
     assert st.adj == {}
     assert st.trees == {} and st.inverted == {}
-    assert len(st.node_expiry) == 0 and len(st.adj_expiry) == 0
+    assert len(st.adj_expiry) == 0
 
 
 def test_insert_then_delete_equals_never_inserted():
@@ -331,7 +331,7 @@ def test_purge_is_silent_and_idempotent():
     assert "r" not in st.trees
 
 
-# cached witness payloads
+# witness payloads
 
 
 def walk_payload(st, tree, node):
@@ -346,25 +346,27 @@ def walk_payload(st, tree, node):
     return tuple(p for h in hops for p in h.payload)
 
 
-def assert_payloads_fresh(st, now):
-    """Every live accepting node's payload equals the fresh walk."""
+def assert_payloads_fresh(st):
+    """Every non-root node's payload equals the fresh walk, and its end
+    is the earlier of its parent's and its witness edge's, which is what
+    lets expiry find every ended node below an ended edge."""
     for root, tree in st.trees.items():
         for pair, node in tree.nodes.items():
-            if (pair != tree.root_pair and node.exp > now
-                    and node.state in st.dfa.accepting):
-                want = walk_payload(st, tree, node)
-                assert st._path_payload(tree, node) == want, (root, pair)
+            if pair != tree.root_pair:
+                assert node.payload == walk_payload(st, tree, node), (root, pair)
+                parent = tree.nodes[node.parent]
+                assert node.exp == min(parent.exp, node.via.exp), (root, pair)
 
 
 def test_reparenting_refreshes_cached_payloads_below():
     st = stage()
     for i, (s, d, ts, exp) in enumerate(TRACE_EDGES):
         st.on_tuple(0, sgt(s, d, "RL", ts, exp, origin=i), ts)
-        assert_payloads_fresh(st, ts)
+        assert_payloads_fresh(st)
     # (u,1) moved from under (z,1) to under (y,1) after (s,1) below it
-    # was cached; both now follow the wider path
+    # took its payload; both now follow the wider path
     tree = st.trees["x"]
-    assert st._path_payload(tree, tree.nodes[("s", 1)]) == (
+    assert tree.nodes[("s", 1)].payload == (
         ("x", "RL", "y"), ("y", "RL", "u"), ("u", "RL", "s"))
 
 
@@ -373,9 +375,9 @@ def test_repair_refreshes_cached_payloads_below():
     for o, (s, d, exp) in enumerate([("r", "a", 30), ("a", "b", 25), ("b", "c", 25),
                                      ("r", "x", 20), ("x", "b", 20)]):
         st.on_tuple(0, sgt(s, d, "a", 0, exp, o, payload=((f"p{o}", "e", "q"),)), 0)
-    assert_payloads_fresh(st, 0)
+    assert_payloads_fresh(st)
     out = st.on_tuple(0, sgt("a", "b", "a", 0, 25, 1, sign=-1), 5)
-    assert_payloads_fresh(st, 5)
+    assert_payloads_fresh(st)
     rc = [t.payload for t in out if (t.src, t.trg, t.sign) == ("r", "c", 1)]
     assert rc == [(("p3", "e", "q"), ("p4", "e", "q"), ("p2", "e", "q"))]
 
@@ -404,7 +406,7 @@ def test_cached_payloads_match_parent_chain_walk(regex, payload):
                 t = sgt(s, d, lab, now, exp, op, payload=hop)
                 live[op] = sgt(s, d, lab, now, exp, op, sign=-1, payload=hop)
                 st.on_tuple(0, t, now)
-            assert_payloads_fresh(st, now)
+            assert_payloads_fresh(st)
 
 
 # randomized cross-check against the widest-validity fixpoint
@@ -415,13 +417,12 @@ def _oracle_state(live, dfa, trees, now):
     expected_results = set()
     for root, tree in trees.items():
         best = widest_validity(snap, dfa, root)
-        live_pairs = {p: n for p, n in tree.nodes.items() if n.exp > now}
-        for pair, n in live_pairs.items():
+        for pair, n in tree.nodes.items():
             if pair != tree.root_pair:
                 assert best.get(pair) == n.exp, (root, pair)
         for pair, w in best.items():
             if pair != tree.root_pair and w > now:
-                assert pair in live_pairs, (root, pair)
+                assert pair in tree.nodes, (root, pair)
         for (v, q), w in best.items():
             if q in dfa.accepting and w > now and (v, q) != tree.root_pair:
                 expected_results.add((root, v))
@@ -441,6 +442,9 @@ def test_random_ops_preserve_widest_validity_invariant(regex):
         for op in range(60):
             now += rng.randint(0, 2)
             st.on_watermark(now)
+            # expiry through ended edges leaves no ended node behind
+            assert not [(r, p) for r, tree in st.trees.items()
+                        for p, n in tree.nodes.items() if n.exp <= now]
             if live and rng.random() < 0.35:
                 o = rng.choice(sorted(live))
                 s, d, lab, ts, exp = live.pop(o)
@@ -451,6 +455,7 @@ def test_random_ops_preserve_widest_validity_invariant(regex):
                 live[o] = (s, d, lab, now, exp)
                 outs = st.on_tuple(0, sgt(s, d, lab, now, exp, o), now)
             assert len({r.origin for r in outs}) == len(outs)
+            assert_payloads_fresh(st)
             for r in outs:
                 if r.sign > 0:
                     emitted[r.origin] = r

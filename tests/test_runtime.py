@@ -129,12 +129,14 @@ def test_notify_plan_compiles_with_coalescing_behind_every_stateful_stage():
 
 @pytest.mark.parametrize("a, b, step", [
     ((10, 4), (12, 6), 2),
+    ((12, 4), (18, 6), 2),
     ((20, 5), (30, 10), 5),
-], ids=["gcd-below-the-slides", "gcd-is-the-smallest-slide"])
+], ids=["gcd-below-the-slides", "multiples-of-their-slides", "gcd-is-the-smallest-slide"])
 def test_slide_is_the_gcd_of_every_window_size_and_slide(a, b, step):
     """Every finite end is a multiple of the step, so it is purged at the
-    instant it ends; where every window is a multiple of its slide, the
-    step is the smallest slide."""
+    instant it ends.  The step is the smallest slide only where that
+    slide divides every size and slide, even when each window is a
+    multiple of its own slide; the metrics count the smallest slide."""
     plan = algebra.Pattern(
         children=(
             algebra.Window(algebra.Wscan("a"), *a),
@@ -147,7 +149,8 @@ def test_slide_is_the_gcd_of_every_window_size_and_slide(a, b, step):
         ),
         label="J",
     )
-    assert compile_plan(plan).slide == step
+    pipe = compile_plan(plan)
+    assert (pipe.slide, pipe.min_slide) == (step, min(a[1], b[1]))
 
 
 def test_tap_on_unknown_label_raises():
@@ -413,6 +416,19 @@ def test_slide_count_covers_the_stream_span():
     # base boundary 0, crossing at 5, end flush at 10
     assert m.slides == 2
     assert len(m.slide_latencies) == 2
+
+
+def test_latencies_are_per_slide_not_per_purge_step():
+    """At window 101 / slide 50 the driver purges every instant, but the
+    metrics still count one slide and one latency per 50 instants."""
+    evs = generate_synthetic(200, 2000, labels=("a",), rate=1.0, cyclicity=0.3, seed=42)
+    runs = {}
+    for window in (100, 101):
+        q = parse_query("Answer(x, y) <- a+(x, y)", window=window, slide=50)
+        pipe = compile_plan(to_plan(q))
+        m = run_stream(pipe, evs)
+        runs[window] = (pipe.slide, m.slides, len(m.slide_latencies))
+    assert runs == {100: (50, 40, 40), 101: (1, 40, 40)}
 
 
 def _closure_pipeline_failing_with(err):
