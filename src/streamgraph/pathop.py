@@ -120,9 +120,10 @@ class PathStage:
         # adjacency over the automaton alphabet: label -> src -> origin -> sgt
         self.adj: dict[str, dict[str, dict[object, StreamTuple]]] = {}
         self.trees: dict[str, SpanningTree] = {}
-        # pair -> roots of the trees holding it, in insertion order, so
-        # that relaxation order never follows string hashing
-        self.inverted: dict[Pair, dict[str, None]] = {}
+        # pair -> root -> the node at pair in the tree of root, in
+        # insertion order, so that relaxation order never follows string
+        # hashing
+        self.inverted: dict[Pair, dict[str, TreeNode]] = {}
         # (label, src, origin) per adjacency edge, by end
         self.adj_expiry = ExpiryIndex()
 
@@ -130,29 +131,26 @@ class PathStage:
 
     def _add_node(self, tree: SpanningTree, node: TreeNode) -> None:
         tree.nodes[node.pair] = node
-        self.inverted.setdefault(node.pair, {})[tree.root] = None
+        self.inverted.setdefault(node.pair, {})[tree.root] = node
         tree.nodes[node.parent].children.add(node.pair)
-
-    def _remove_node(self, tree: SpanningTree, pair: Pair) -> None:
-        node = tree.nodes.pop(pair)
-        parent = tree.nodes.get(node.parent)
-        if parent is not None:
-            parent.children.discard(pair)
-        roots = self.inverted[pair]
-        del roots[tree.root]
-        if not roots:
-            del self.inverted[pair]
 
     def _drop_subtree(self, tree: SpanningTree, pair: Pair) -> dict[Pair, TreeNode]:
         """Remove the node at pair and everything below it, silently;
         returns the removed nodes by pair."""
+        nodes, inverted, root = tree.nodes, self.inverted, tree.root
+        parent = nodes.get(nodes[pair].parent)  # None at the root
+        if parent is not None:
+            parent.children.discard(pair)
         removed: dict[Pair, TreeNode] = {}
         stack = [pair]
         while stack:
             p = stack.pop()
-            node = removed[p] = tree.nodes[p]
-            stack.extend(node.children)
-            self._remove_node(tree, p)
+            node = removed[p] = nodes.pop(p)
+            stack += node.children
+            roots = inverted[p]
+            del roots[root]
+            if not roots:
+                del inverted[p]
         return removed
 
     def _reached_over(self, e: StreamTuple) -> list[tuple[str, Pair]]:
@@ -161,8 +159,8 @@ class PathStage:
         found = []
         for t2 in self.targets[e.label]:
             pair = (e.trg, t2)
-            for root in self.inverted.get(pair, ()):
-                via = self.trees[root].nodes[pair].via
+            for root, node in self.inverted.get(pair, {}).items():
+                via = node.via
                 if via is not None and via.origin == e.origin:
                     found.append((root, pair))
         return found
@@ -194,11 +192,10 @@ class PathStage:
         changed: dict[TreeNode, SpanningTree] = {}
         for s, t2 in self.by_label[t.label]:
             if s == self.dfa.start and t.src not in self.trees:
-                self.trees[t.src] = SpanningTree(t.src, self.dfa.start)
-                self.inverted.setdefault((t.src, s), {})[t.src] = None
-            for root in list(self.inverted.get((t.src, s), ())):
-                tree = self.trees[root]
-                self._relax(tree, tree.nodes[(t.src, s)], t, t2, changed)
+                tree = self.trees[t.src] = SpanningTree(t.src, s)
+                self.inverted.setdefault((t.src, s), {})[t.src] = tree.nodes[(t.src, s)]
+            for root, node in list(self.inverted.get((t.src, s), {}).items()):
+                self._relax(self.trees[root], node, t, t2, changed)
         return self._emit(changed)
 
     def _relax(
@@ -316,7 +313,7 @@ class PathStage:
             self._remove_tree(tree)
 
     def _remove_tree(self, tree: SpanningTree) -> None:
-        self._remove_node(tree, tree.root_pair)
+        self._drop_subtree(tree, tree.root_pair)
         del self.trees[tree.root]
 
     # Watermark sweep: drops only state that ended at or before the
