@@ -313,7 +313,10 @@ class PathStage:
             self._remove_tree(tree)
 
     def _remove_tree(self, tree: SpanningTree) -> None:
-        self._drop_subtree(tree, tree.root_pair)
+        roots = self.inverted[tree.root_pair]
+        del roots[tree.root]
+        if not roots:
+            del self.inverted[tree.root_pair]
         del self.trees[tree.root]
 
     # Watermark sweep: drops only state that ended at or before the
