@@ -10,9 +10,9 @@ Subcommands:
 
 Every command exits 0 on success; ``check`` exits 1 when any instant
 differs, in the engine's live set or in the written log replayed up to
-it, when the log retracts a result it never wrote or, in dense mode,
-one that had ended; usage and input errors print one line to stderr
-and exit 2.
+it, or when the log retracts a result it never wrote or one that had
+ended by the instant of the retraction; usage and input errors print
+one line to stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -20,15 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 
 from streamgraph import algebra
-from streamgraph.oracle import answer_pairs, eval_query_at
+from streamgraph.oracle import answer_pairs, eval_query_at, replay_log
 from streamgraph.query import QueryError, parse_query, to_plan
 from streamgraph.runtime import StreamOrderError, compile_plan, run_stream
 from streamgraph.streams import (
     StreamFormatError,
-    format_result,
     generate_synthetic,
     read_edge_stream,
     write_edge_stream,
@@ -97,62 +95,55 @@ def _boundaries(events, beta: int) -> list[int]:
     return list(range(base, final + 1, beta))
 
 
+def _record_nows(sink) -> list[int]:
+    """Wrap ``sink.on_tuple`` so that the returned list holds the
+    ``now`` of every entry the sink appends to its log, in log order."""
+    nows: list[int] = []
+    receive = sink.on_tuple
+
+    def on_tuple(port, t, now):
+        logged = len(sink.log)
+        out = receive(port, t, now)
+        nows.extend([now] * (len(sink.log) - logged))
+        return out
+
+    sink.on_tuple = on_tuple
+    return nows
+
+
 def cmd_check(args) -> int:
     q = _load_query(args)
     events = _load_events(args.input)
     if not events:
         print("ok: empty stream, nothing to check")
         return 0
-    dense = args.instants == "dense"
-    if dense:
+    if args.instants == "dense":
         final = -(-events[-1].ts // q.slide) * q.slide
         instants = list(range(events[0].ts, final + 1))
     else:
         instants = _boundaries(events, q.slide)
     pipe = compile_plan(to_plan(q))
-    got: list[tuple[int, set, int]] = []
-    run_stream(
-        pipe,
-        events,
-        instants=instants,
-        on_instant=lambda t: got.append(
-            (t, {(s, d) for s, d, lbl in pipe.sink.snapshot(t)}, len(pipe.sink.log))
-        ),
-    )
-    diffs = seen = 0
-    # the log as a consumer replays it: each - line cancels an earlier,
-    # still live + line with the same key, interval and payload
-    live: Counter = Counter()
-    for t, engine, logged in got:
+    nows = _record_nows(pipe.sink)
+    engine: list[set] = []
+    run_stream(pipe, events, instants=instants, on_instant=lambda t: engine.append(
+        {(s, d) for s, d, lbl in pipe.sink.snapshot(t)}))
+    diffs = 0
+    replayed = replay_log(zip(nows, pipe.sink.log), instants)
+    for got, (t, written, bad) in zip(engine, replayed):
         want = answer_pairs(eval_query_at(q, events, t))
-        bad = []
-        for x in pipe.sink.log[seen:logged]:
-            line = (x.key, x.interval, x.payload)
-            if x.sign > 0:
-                live[line] += 1
-            elif dense and x.exp <= t:
-                # dense instants are every instant, so the entries logged
-                # since the previous one were emitted at t; expiry never
-                # retracts
-                bad.append(f"retracted an ended result {format_result(x)}")
-            elif live[line]:
-                live[line] -= 1
-            else:
-                bad.append(f"retracted an unknown result {format_result(x)}")
-        seen = logged
-        written = {key[:2] for (key, iv, _p), n in live.items() if n and iv.contains(t)}
-        diffs += engine != want or written != want or bool(bad)
-        if engine != want:
-            print(f"t={t}: missing={sorted(want - engine)} extra={sorted(engine - want)}")
+        written = {key[:2] for key in written}
+        diffs += got != want or written != want or bool(bad)
+        if got != want:
+            print(f"t={t}: missing={sorted(want - got)} extra={sorted(got - want)}")
         if written != want:
             print(f"t={t}: written log missing={sorted(want - written)} "
                   f"extra={sorted(written - want)}")
         for line in bad:
             print(f"t={t}: {line}")
     if diffs:
-        print(f"FAIL: {diffs} of {len(got)} instants differ")
+        print(f"FAIL: {diffs} of {len(engine)} instants differ")
         return 1
-    print(f"ok: {len(got)} instants, zero diffs")
+    print(f"ok: {len(engine)} instants, zero diffs")
     return 0
 
 

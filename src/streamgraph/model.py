@@ -10,9 +10,9 @@ The engine works over two kinds of records:
 
 A snapshot of a stream at instant ``t`` is the set of tuples whose interval
 contains ``t``.  Two tuples are value-equivalent when they agree on
-``(src, trg, label)``; set semantics are restored by coalescing
-value-equivalent tuples with overlapping or adjacent intervals into one tuple
-spanning their union.
+``(src, trg, label)``; set semantics are restored by coalescing the live
+value-equivalent tuples, which all hold the current instant, into one tuple
+spanning their hull.
 
 Every tuple on the per-event path builds one or more of these records, so
 they are slotted rather than dataclasses: ``Interval`` is a ``tuple``
@@ -59,12 +59,6 @@ class Interval(tuple):
         start = max(self.start, other.start)
         end = min(self.end, other.end)
         return Interval(start, end) if start < end else None
-
-    def overlaps_or_adjacent(self, other: Interval) -> bool:
-        return self.start <= other.end and other.start <= self.end
-
-    def hull(self, other: Interval) -> Interval:
-        return Interval(min(self.start, other.start), max(self.end, other.end))
 
 
 class _Record:

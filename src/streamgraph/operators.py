@@ -21,10 +21,11 @@ is not its insertion's; the coalesce stage behind every scan cancels a
 retraction by key and origin alone and never reads that interval.
 
 The coalesce stage restores set semantics after stateful operators: it
-tracks one interval per upstream origin and (src, trg, label) key,
-merges overlapping-or-adjacent contributions, and republishes the merged
-intervals, retracting stale ones.  Contributions that fall inside an
-already-advertised interval cause no downstream traffic.
+tracks one interval per upstream origin and (src, trg, label) key, and
+advertises one tuple per key, the hull of the key's live contributions,
+which all hold the current instant.  A new hull or payload retracts the
+old advertisement before advertising the new one; a contribution that
+changes neither causes no downstream traffic.
 
 Expiry is handled directly: every stateful stage files each entry it
 stores in an ``ExpiryIndex`` under the entry's end, so a watermark pops
@@ -114,45 +115,24 @@ class UnionStage:
         pass
 
 
-def merge_contributions(entries):
-    """Group (interval, payload) entries into maximal contiguous intervals.
-
-    Returns [(hull, payload)] sorted by start; the payload of a group is
-    the one of its widest contributor (largest exp, then largest ts, then
-    first seen).
-    """
-    entries = sorted(enumerate(entries), key=lambda e: (e[1][0].start, e[1][0].end))
-    groups: list[tuple[Interval, tuple]] = []
-    best: tuple | None = None
-    for idx, (iv, payload) in entries:
-        if groups and groups[-1][0].overlaps_or_adjacent(iv):
-            hull = groups[-1][0].hull(iv)
-            if (iv.end, iv.start, -idx) > best[0]:
-                best = ((iv.end, iv.start, -idx), payload)
-            groups[-1] = (hull, best[1])
-        else:
-            best = ((iv.end, iv.start, -idx), payload)
-            groups.append((iv, payload))
-    return groups
-
-
 class CoalesceStage:
-    """Keeps at most one live advertised tuple per key and instant.
+    """Keeps one live advertised tuple per key.
 
     Contributions are tracked per upstream origin; re-emission with the
-    same origin replaces the old interval, a negative drops it.  The
-    merged intervals are diffed against what was previously advertised,
-    and only the difference is emitted (retract, then replace).  A key
-    with at most one contribution and one advertisement, by far the
-    common case, skips the merge: the two are compared directly.  A
-    positive for a key with neither is stored and advertised at once,
-    with no diff at all.
+    same origin replaces the old interval, a negative drops it.  Every
+    live contribution of a key holds ``now`` (runtime.py's stage
+    contract), so together they span one interval: their hull ``[min
+    start, max end)``, advertised with the payload of the widest
+    contributor (largest end, then largest start, then first stored).
+    A hull or payload that differs from the advertised one retracts it
+    and advertises the new one under a fresh origin.  A positive for a
+    key with no state is stored and advertised at once, with no fold.
     """
 
     def __init__(self, op_id: int):
         self.op_id = op_id
         self.contribs: dict[tuple, dict[object, tuple[Interval, tuple]]] = {}
-        self.advertised: dict[tuple, list[tuple[object, Interval, tuple]]] = {}
+        self.advertised: dict[tuple, tuple[object, Interval, tuple]] = {}
         # every advertised hull ends at some contribution's end, so keys
         # filed under their contributions' ends cover both tables
         self.expiry = ExpiryIndex()
@@ -161,6 +141,10 @@ class CoalesceStage:
     def _fresh(self) -> tuple:
         self.counter += 1
         return ("c", self.op_id, self.counter)
+
+    def state_size(self) -> int:
+        """Contribution entries plus advertised keys."""
+        return sum(map(len, self.contribs.values())) + len(self.advertised)
 
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
         key = t.key
@@ -171,7 +155,7 @@ class CoalesceStage:
                 # a lone key: the contribution is advertised as it is
                 self.contribs[key] = {t.origin: (iv, t.payload)}
                 origin = self._fresh()
-                self.advertised[key] = [(origin, iv, t.payload)]
+                self.advertised[key] = (origin, iv, t.payload)
                 return [StreamTuple(*key, iv, t.payload, 1, origin=origin)]
             self.contribs.setdefault(key, {})[t.origin] = (iv, t.payload)
         elif self.contribs.get(key, {}).pop(t.origin, None) is None:
@@ -180,50 +164,37 @@ class CoalesceStage:
         return self._republish(key)
 
     def _republish(self, key: tuple) -> list[StreamTuple]:
-        per_key = self.contribs.get(key)
-        if not per_key:
-            self.contribs.pop(key, None)
-            per_key = {}
-        old = self.advertised.get(key, ())
-        src, trg, label = key
-        if len(old) <= 1 and len(per_key) <= 1:
-            # A lone contribution is its own merge: diff it against the
-            # lone advertisement directly.
-            want = next(iter(per_key.values())) if per_key else None
-            out: list[StreamTuple] = []
-            if old:
-                origin, iv, payload = old[0]
-                if want == (iv, payload):
-                    return out
-                out.append(StreamTuple(src, trg, label, iv, payload, -1, origin=origin))
-            if want is None:
-                self.advertised.pop(key, None)
-            else:
-                iv, payload = want
-                origin = self._fresh()
-                self.advertised[key] = [(origin, iv, payload)]
-                out.append(StreamTuple(src, trg, label, iv, payload, 1, origin=origin))
-            return out
-        merged = merge_contributions(list(per_key.values()))
-        wanted = {(iv, payload) for iv, payload in merged}
-        out = []
-        kept = []
-        for origin, iv, payload in old:
-            if (iv, payload) in wanted:
-                wanted.discard((iv, payload))
-                kept.append((origin, iv, payload))
-            else:
-                out.append(StreamTuple(src, trg, label, iv, payload, -1, origin=origin))
-        for iv, payload in merged:
-            if (iv, payload) in wanted:
-                origin = self._fresh()
-                kept.append((origin, iv, payload))
-                out.append(StreamTuple(src, trg, label, iv, payload, 1, origin=origin))
-        kept.sort(key=lambda e: e[1])
-        if kept:
-            self.advertised[key] = kept
+        """Fold the key's contributions into one hull and diff it
+        against the advertisement."""
+        per_key = self.contribs[key]
+        want = None
+        if per_key:
+            entries = iter(per_key.values())
+            iv, payload = next(entries)
+            start = iv.start
+            for other, other_payload in entries:
+                if other.start < start:
+                    start = other.start
+                if other.end > iv.end or (other.end == iv.end and other.start > iv.start):
+                    iv, payload = other, other_payload
+            want = (iv if start == iv.start else Interval(start, iv.end), payload)
         else:
+            del self.contribs[key]
+        src, trg, label = key
+        out: list[StreamTuple] = []
+        old = self.advertised.get(key)
+        if old is not None:
+            origin, iv, payload = old
+            if want == (iv, payload):
+                return out
+            out.append(StreamTuple(src, trg, label, iv, payload, -1, origin=origin))
+        if want is None:
             self.advertised.pop(key, None)
+        else:
+            iv, payload = want
+            origin = self._fresh()
+            self.advertised[key] = (origin, iv, payload)
+            out.append(StreamTuple(src, trg, label, iv, payload, 1, origin=origin))
         return out
 
     def on_watermark(self, w: int) -> None:
@@ -243,17 +214,9 @@ class CoalesceStage:
                         self.contribs[key] = live
                     else:
                         del self.contribs[key]
-            adverts = self.advertised.get(key)
-            if adverts is not None:
-                if len(adverts) == 1:
-                    if adverts[0][1].end <= w:
-                        del self.advertised[key]
-                else:
-                    live = [e for e in adverts if e[1].end > w]
-                    if live:
-                        self.advertised[key] = live
-                    else:
-                        del self.advertised[key]
+            advert = self.advertised.get(key)
+            if advert is not None and advert[1].end <= w:
+                del self.advertised[key]
 
 
 def pos_value(tuples: tuple[StreamTuple, ...], pos: Pos):

@@ -6,6 +6,8 @@ are rebuilt per instant, rule bodies are joined by backtracking over
 relation extents, closures are breadth-first reachability, and widest
 path validity is a Bellman-Ford style fixpoint.  Slow on purpose and
 used to cross-check the engine in tests and in the ``check`` command.
+``replay_log`` reads the engine's written log the way a consumer does,
+so that it can be checked against these snapshots.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from streamgraph.model import EdgeEvent
 from streamgraph.automata import Dfa
 from streamgraph.query import ClosureAtom, Query
+from streamgraph.streams import format_result
 
 Pair = tuple[str, str]
 
@@ -141,3 +144,41 @@ def widest_validity(
 
 def answer_pairs(env: dict[str, set[Pair]]) -> set[Pair]:
     return env.get("Answer", set())
+
+
+def replay_log(emissions, instants: list[int]) -> list[tuple[int, set, list[str]]]:
+    """Replay a written result log the way a consumer reads it.
+
+    ``emissions`` are ``(now, tuple)`` pairs in log order, ``now`` being
+    the instant the tuple was logged at.  Lines carry no origin, so each
+    ``-`` must cancel an earlier live ``+`` with the same key, interval
+    and payload, and, since expiry never retracts, must not have ended
+    by its ``now``.  Returns, for each ascending instant ``t``, ``(t,
+    keys of the live + lines that hold t, one message per bad - line
+    logged since the instant before)``.
+    """
+    live: dict[tuple, int] = {}  # (key, interval, payload) -> live + lines
+    emissions = iter(emissions)
+    pending = next(emissions, None)
+    out = []
+    for t in instants:
+        problems = []
+        while pending is not None and pending[0] <= t:
+            now, x = pending
+            line = (x.key, x.interval, x.payload)
+            if x.sign > 0:
+                live[line] = live.get(line, 0) + 1
+            elif x.exp <= now:
+                problems.append(f"retracted an ended result {format_result(x)}")
+            elif line in live:
+                live[line] -= 1
+                if not live[line]:
+                    del live[line]
+            else:
+                problems.append(f"retracted an unknown result {format_result(x)}")
+            pending = next(emissions, None)
+        # a line that has ended holds no later instant, and a later - of
+        # it is flagged as ended
+        live = {line: n for line, n in live.items() if line[1].end > t}
+        out.append((t, {key for key, iv, _ in live if iv.start <= t}, problems))
+    return out

@@ -19,7 +19,10 @@ of a multiple of it, and one for the rest of the stream at the end.
 
 The stage contract: ``on_tuple(port, t, now)`` may assume that
 ``on_watermark(w)`` has run for every end ``w <= now``, so no stage
-ever meets state that has ended.
+ever meets state that has ended, and that a positive ``t`` holds
+``now``: ``start <= now < end``.  A negative's interval is not
+constrained: a scan stamps a deletion with the deletion's own window,
+and the Coalesce behind it cancels by key and origin alone.
 
 Set semantics are restored by a coalescing stage placed behind every
 operator that can produce value-equivalent overlapping tuples: scans,
@@ -125,9 +128,9 @@ class OutputSink:
         pass
 
     def snapshot(self, t: int) -> set[tuple[str, str, str]]:
-        return {key for key, adverts in self.root.advertised.items()
-                if any(iv.contains(t) for _origin, iv, _payload in adverts)
-                and all(eval_predicate(StreamTuple(*key, adverts[0][1]), f.predicate)
+        return {key for key, (_origin, iv, _payload) in self.root.advertised.items()
+                if iv.contains(t)
+                and all(eval_predicate(StreamTuple(*key, iv), f.predicate)
                         for f in self.filters)}
 
     def results(self) -> list[StreamTuple]:

@@ -14,9 +14,11 @@ and reproducible outputs
 Time budgets are asserted inside the tests that carry one.
 
 A module-wide hook (autouse fixture) patches the coalescing stage and
-the output sink so that every test here also asserts that no two live
-value-equivalent tuples with overlapping intervals ever coexist in any
-advertised state or output.
+the output sink so that every test here also asserts the stage contract
+on every coalescing input (a positive holds the instant it arrives at,
+which is what lets the stage keep one advertisement per key) and that no
+two live value-equivalent tuples with overlapping intervals ever coexist
+in the output.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from streamgraph import algebra, operators, runtime
 from streamgraph.automata import Alt, Concat, Opt, Plus, Star, Sym, build_dfa, parse_regex
 from streamgraph.cli import main as cli_main
 from streamgraph.model import EdgeEvent, Interval, StreamTuple, window_interval
-from streamgraph.oracle import answer_pairs, eval_query_at, widest_validity
+from streamgraph.oracle import answer_pairs, eval_query_at, replay_log, widest_validity
 from streamgraph.pathop import PathStage
 from streamgraph.query import parse_query, to_plan
 from streamgraph.runtime import compile_plan, net_results, run_stream
@@ -70,26 +72,25 @@ TABLE_QUERIES = {
 _HOOK_STATS = {"coalesce": 0, "sink": 0, "violations": 0}
 
 
-def _assert_disjoint_advertised(stage, key):
-    spans = sorted(iv for _, iv, _ in stage.advertised.get(key, ()))
-    for a, b in zip(spans, spans[1:]):
-        if b.start < a.end:
-            _HOOK_STATS["violations"] += 1
-            raise AssertionError(
-                f"coalescer advertises overlapping intervals for {key}: {a} and {b}"
-            )
+def _assert_holds_now(t, now):
+    """The stage contract on a Coalesce input: a positive holds ``now``."""
+    if t.sign > 0 and not t.interval.contains(now):
+        _HOOK_STATS["violations"] += 1
+        raise AssertionError(
+            f"coalescer received a positive for {t.key} over {t.interval} at {now}"
+        )
 
 
 @pytest.fixture(autouse=True)
 def set_semantics_hook(monkeypatch):
-    """Duplicate-detection hook active for every test in this module."""
+    """Contract and duplicate-detection hook active for every test in
+    this module."""
     coalesce_orig = operators.CoalesceStage.on_tuple
 
     def checked_coalesce(self, port, t, now):
-        out = coalesce_orig(self, port, t, now)
-        _assert_disjoint_advertised(self, t.key)
+        _assert_holds_now(t, now)
         _HOOK_STATS["coalesce"] += 1
-        return out
+        return coalesce_orig(self, port, t, now)
 
     sink_orig = runtime.OutputSink.on_tuple
 
@@ -434,18 +435,42 @@ def _check_tree_attachment(st, now):
                 assert pair in tree.nodes, (root, pair)
 
 
-def test_insert_delete_fuzz_matches_from_scratch_oracle():
+def _record_nows(monkeypatch) -> list[int]:
+    """The now of every emission any sink receives from here on, in
+    order; clear it before each run."""
+    nows: list[int] = []
+    inner = runtime.OutputSink.on_tuple
+
+    def recording(self, port, t, now):
+        nows.append(now)
+        return inner(self, port, t, now)
+
+    monkeypatch.setattr(runtime.OutputSink, "on_tuple", recording)
+    return nows
+
+
+def _assert_replay_matches(name, pipe, nows, snaps):
+    """The written log, replayed as a consumer reads it, retracts only
+    live results and gives the engine's snapshot at every instant."""
+    assert len(nows) == len(pipe.sink.log), name
+    for t, written, bad in replay_log(zip(nows, pipe.sink.log), sorted(snaps)):
+        assert bad == [], (name, t)
+        assert written == snaps[t], (name, t)
+
+
+def test_insert_delete_fuzz_matches_from_scratch_oracle(monkeypatch):
+    nows = _record_nows(monkeypatch)
     for seed_shift, name in enumerate(("closure", "chain_closure",
                                        "siblings_closure")):
         events = _fuzz_events(seed=500 + seed_shift)
         q = parse_query(TABLE_QUERIES[name], window=10 ** 6, slide=1)
         pipe = compile_plan(to_plan(q))
         stages = [n.stage for n in pipe.nodes if isinstance(n.stage, PathStage)]
+        snaps = {}
+        nows.clear()
 
         def at(t):
-            snap = pipe.sink.snapshot(t)
-            assert snap == {x.key for x in net_results(pipe.sink.log)
-                            if x.interval.contains(t)}, (name, t)
+            snaps[t] = snap = pipe.sink.snapshot(t)
             got = {(s, d) for s, d, _ in snap}
             want = answer_pairs(eval_query_at(q, events, t))
             assert got == want, (name, t, got - want, want - got)
@@ -454,14 +479,16 @@ def test_insert_delete_fuzz_matches_from_scratch_oracle():
                     _check_tree_attachment(st, t)
 
         run_stream(pipe, events, instants=list(range(len(events))), on_instant=at)
+        _assert_replay_matches(name, pipe, nows, snaps)
 
 
-def test_mid_slide_expiry_fuzz_matches_from_scratch_oracle():
+def test_mid_slide_expiry_fuzz_matches_from_scratch_oracle(monkeypatch):
     """A window that is not a multiple of its slide ends edges between
     slide boundaries, and some deletions retract already-ended edges;
     the watermark step is the gcd of size and slide, so no ended edge
-    lingers in any adjacency, and trees and results match the oracle at
-    every instant."""
+    lingers in any adjacency, and trees, results and the replayed log
+    match the oracle at every instant."""
+    nows = _record_nows(monkeypatch)
     lingered = 0
     for seed_shift, name in enumerate(("closure", "step_closure",
                                        "chain_closure", "siblings_closure")):
@@ -469,12 +496,12 @@ def test_mid_slide_expiry_fuzz_matches_from_scratch_oracle():
         q = parse_query(TABLE_QUERIES[name], window=7, slide=3)
         pipe = compile_plan(to_plan(q))
         stages = [n.stage for n in pipe.nodes if isinstance(n.stage, PathStage)]
+        snaps = {}
+        nows.clear()
 
         def at(t):
             nonlocal lingered
-            snap = pipe.sink.snapshot(t)
-            assert snap == {x.key for x in net_results(pipe.sink.log)
-                            if x.interval.contains(t)}, (name, t)
+            snaps[t] = snap = pipe.sink.snapshot(t)
             got = {(s, d) for s, d, _ in snap}
             want = answer_pairs(eval_query_at(q, events, t))
             assert got == want, (name, t, got - want, want - got)
@@ -485,6 +512,7 @@ def test_mid_slide_expiry_fuzz_matches_from_scratch_oracle():
                                 for e in bucket.values())
 
         run_stream(pipe, events, instants=list(range(len(events))), on_instant=at)
+        _assert_replay_matches(name, pipe, nows, snaps)
     assert lingered == 0
 
 
@@ -497,16 +525,10 @@ def test_expiry_never_retracts(monkeypatch):
     """Expiry drops state silently; only explicit deletions and
     retract-and-replace merges retract.  At window 10, slide 3, where
     ends fall between slide boundaries, and in a plan that mixes slides,
-    no retraction names a result that had ended by the instant it was
-    emitted, and no two net results of one key overlap."""
-    nows: list[int] = []  # the now of each emission the sink receives
-    inner = runtime.OutputSink.on_tuple
-
-    def recording(self, port, t, now):
-        nows.append(now)
-        return inner(self, port, t, now)
-
-    monkeypatch.setattr(runtime.OutputSink, "on_tuple", recording)
+    no retraction in the replayed log names a result that had ended by
+    the instant it was emitted, or one the log never wrote, and no two
+    net results of one key overlap."""
+    nows = _record_nows(monkeypatch)
     events = _fuzz_events(seed=7, ops=3000)
     plans = {name: to_plan(parse_query(text, window=10, slide=3))
              for name, text in TABLE_QUERIES.items()}
@@ -519,9 +541,8 @@ def test_expiry_never_retracts(monkeypatch):
         log = pipe.sink.log
         assert len(nows) == len(log), name
         retractions += sum(t.sign < 0 for t in log)
-        ended = [(now, format_result(t)) for now, t in zip(nows, log)
-                 if t.sign < 0 and t.exp <= now]
-        assert ended == [], name
+        [(_, _, bad)] = replay_log(zip(nows, log), [nows[-1]])
+        assert bad == [], name
         spans: dict[tuple, list[Interval]] = {}
         for t in net_results(log):
             spans.setdefault(t.key, []).append(t.interval)
@@ -690,9 +711,10 @@ def test_performance_budget_on_cyclic_stream(tmp_path):
 
 
 def test_set_semantics_hook_covers_all_runs():
-    """The duplicate-detection hook is live on every test in this
-    module; a churn-heavy run keeps every coalesced stream duplicate
-    free, and a seeded duplicate is caught."""
+    """The contract and duplicate-detection hook is live on every test
+    in this module; a churn-heavy run keeps every coalesced stream
+    duplicate free, and a positive that does not hold its instant is
+    caught."""
     before = (_HOOK_STATS["coalesce"], _HOOK_STATS["sink"])
 
     events = _fuzz_events(seed=900, ops=400)
@@ -717,14 +739,12 @@ def test_set_semantics_hook_covers_all_runs():
     assert after[0] > before[0] and after[1] > before[1]
     assert _HOOK_STATS["violations"] == 0
 
-    # the hook is not vacuous: overlapping same-key advertisements trip it
+    # the hook is not vacuous: a positive that does not hold now trips it
     stage = operators.CoalesceStage(op_id=99)
-    stage.advertised[("x", "y", "R")] = [
-        ("o1", Interval(0, 10), ()),
-        ("o2", Interval(5, 15), ()),
-    ]
-    with pytest.raises(AssertionError):
-        _assert_disjoint_advertised(stage, ("x", "y", "R"))
+    for iv in (Interval(6, 15), Interval(0, 5)):  # starts later, ended
+        with pytest.raises(AssertionError, match="received a positive"):
+            stage.on_tuple(0, StreamTuple("x", "y", "R", iv, origin="o1"), 5)
+    assert stage.contribs == {} and stage.advertised == {}
 
 
 # --------------------------------------------------- 10. state drains

@@ -103,17 +103,6 @@ def test_intersect_matches_pointwise_oracle(a, b):
     assert (_covered(got) if got else set()) == want
 
 
-@given(intervals, intervals)
-def test_overlaps_or_adjacent_matches_union_contiguity(a, b):
-    merged_is_contiguous = True
-    union = sorted(_covered(a) | _covered(b))
-    for x, y in zip(union, union[1:]):
-        if y - x > 1:
-            merged_is_contiguous = False
-    # Adjacency at integer granularity: [a,b) next to [b,c) is contiguous.
-    assert a.overlaps_or_adjacent(b) == merged_is_contiguous
-
-
 def test_window_interval_formula():
     # Slide-aligned expiry: end = (ts // slide) * slide + size.
     assert window_interval(25, 24, 10) == Interval(25, 44)

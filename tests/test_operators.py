@@ -1,8 +1,8 @@
 """Unit tests for the signed-stream operators.
 
 Join results are cross-checked against a nested-loop evaluation over the
-operator's visible inputs; coalescing is checked against independently
-merged interval sets.
+operator's visible inputs; coalescing is checked against an independent
+fold of each key's live contributions.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from streamgraph.operators import (
     PatternStage,
     UnionStage,
     WindowScan,
-    merge_contributions,
 )
 
 
@@ -83,19 +82,6 @@ def test_union_relabels_and_preserves_origin():
 
 
 # coalescing
-
-
-def test_merge_contributions_groups_touching_intervals():
-    got = merge_contributions(
-        [
-            (Interval(1, 4), ("p1",)),
-            (Interval(4, 6), ("p2",)),
-            (Interval(9, 12), ("p3",)),
-        ]
-    )
-    assert [g[0] for g in got] == [Interval(1, 6), Interval(9, 12)]
-    # widest contributor (largest end) keeps its payload
-    assert got[0][1] == ("p2",)
 
 
 def test_coalesce_absorbs_subset_contribution_silently():
@@ -173,105 +159,120 @@ def test_coalesce_keys_are_independent():
     assert [(t.sign, t.key) for t in out] == [(1, ("a", "c", "l"))]
 
 
-@st.composite
-def interval_batches(draw):
-    n = draw(st.integers(1, 8))
-    out = []
-    for i in range(n):
-        start = draw(st.integers(0, 30))
-        end = start + draw(st.integers(1, 15))
-        out.append((Interval(start, end), (f"p{i}",)))
-    return out
+def test_coalesce_payload_is_the_widest_contributors():
+    """The hull carries the payload of the contributor with the largest
+    end, then the largest start, then the one stored first."""
+    c = CoalesceStage(1)
+
+    def feed(start, end, origin, payload):
+        t = StreamTuple("a", "b", "l", Interval(start, end), (payload,), 1, origin=origin)
+        return [(o.sign, o.ts, o.exp, o.payload) for o in c.on_tuple(0, t, 5)]
+
+    assert feed(0, 10, 1, "p") == [(1, 0, 10, ("p",))]
+    # an equal end and a larger start: its payload, the hull's start
+    assert feed(3, 10, 2, "q") == [(-1, 0, 10, ("p",)), (1, 0, 10, ("q",))]
+    # an equal end and an equal start: the first stored keeps its payload
+    assert feed(3, 10, 3, "r") == []
+    # a larger end wins whatever its start
+    assert feed(1, 12, 4, "s") == [(-1, 0, 10, ("q",)), (1, 0, 12, ("s",))]
+
+
+def reference_fold(contribs):
+    """The one advertisement of a key, written from its live
+    contributions alone: their hull, with the payload of the widest
+    (largest end, then largest start, then first stored); None when
+    there are none."""
+    if not contribs:
+        return None
+    entries = list(contribs.values())
+    start = min(iv.start for iv, _ in entries)
+    widest = max(range(len(entries)),
+                 key=lambda i: (entries[i][0].end, entries[i][0].start, -i))
+    iv, payload = entries[widest]
+    return Interval(start, iv.end), payload
 
 
 @settings(max_examples=100, deadline=None)
-@given(interval_batches())
-def test_merge_contributions_is_disjoint_and_covers(entries):
-    got = merge_contributions(entries)
-    # pairwise disjoint and not even adjacent, in ascending order
-    for (a, _), (b, _) in itertools.pairwise(got):
-        assert a.end < b.start
-    # exact cover of the input points
-    want = {p for iv, _ in entries for p in range(iv.start, int(iv.end))}
-    have = {p for iv, _ in got for p in range(iv.start, int(iv.end))}
-    assert want == have
-
-
-@settings(max_examples=60, deadline=None)
-@given(interval_batches(), st.permutations(range(8)))
-def test_coalesce_stage_net_matches_batch_merge(entries, order):
-    """Feeding contributions one by one, in any order of distinct origins,
-    nets out to the same advertised set as a one-shot merge."""
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6),
+                          st.integers(1, 8), st.integers(0, 2)),
+                min_size=1, max_size=12))
+def test_coalesce_stage_net_matches_batch_merge(steps):
+    """Contributions of up to three origins, fed one by one under the
+    stage contract (now never decreases, every end <= now is purged
+    before the next input, and a positive holds now), net out after
+    every step to the one-shot fold of the live contributions."""
     c = CoalesceStage(1)
-    live = {}
-    seq = [entries[i % len(entries)] for i in order[: len(entries)]]
-    for i, (iv, payload) in enumerate(seq):
-        t = StreamTuple("a", "b", "l", iv, payload, 1, origin=i)
-        for o in c.on_tuple(0, t, iv.start):
+    contribs, live = {}, {}
+    now = 0
+    for i, (advance, back, ahead, origin) in enumerate(steps):
+        if advance:
+            now += advance
+            c.on_watermark(now)
+            contribs = {o: e for o, e in contribs.items() if e[0].end > now}
+            live = {o: t for o, t in live.items() if t.exp > now}
+        iv, payload = Interval(max(0, now - back), now + ahead), (f"p{i}",)
+        contribs[origin] = (iv, payload)
+        for o in c.on_tuple(0, StreamTuple("a", "b", "l", iv, payload, 1, origin=origin), now):
             if o.sign > 0:
                 live[o.origin] = o
             else:
                 live.pop(o.origin)
-    want = {iv for iv, _ in merge_contributions(seq)}
-    assert {t.interval for t in live.values()} == want
+        assert [(t.interval, t.payload) for t in live.values()] == [reference_fold(contribs)]
 
 
 def reference_republish(contribs, advertised):
-    """The diff of one key, written from merge_contributions alone:
-    retract each advertisement the merge no longer holds, in advertised
-    order, then advertise each new group, in merged order.  Returns the
-    emissions as (sign, interval, payload) and the new advertisements."""
-    merged = merge_contributions(list(contribs.values()))
-    out, kept, wanted = [], [], list(merged)
-    for entry in advertised:
-        if entry in wanted:
-            wanted.remove(entry)
-            kept.append(entry)
-        else:
-            out.append((-1, *entry))
-    for entry in merged:
-        if entry in wanted:
-            wanted.remove(entry)
-            kept.append(entry)
-            out.append((1, *entry))
-    return out, sorted(kept)
+    """The diff of one key, written from reference_fold alone: nothing
+    when the fold is the advertisement, else retract the advertisement,
+    then advertise the fold.  Returns the emissions as (sign, interval,
+    payload) and the new advertisement."""
+    want = reference_fold(contribs)
+    if want == advertised:
+        return [], advertised
+    out = [] if advertised is None else [(-1, *advertised)]
+    if want is not None:
+        out.append((1, *want))
+    return out, want
 
 
 def test_coalesce_single_key_matches_reference_republish():
-    """Random re-emissions, retractions and watermarks over one key with
-    0-3 contributors, so both the lone-contributor diff and the general
-    merge run; every step emits what the reference emits, and each
-    negative cancels the live advertisement it names."""
+    """Random re-emissions, retractions and purges over one key with 0-3
+    contributors, under the stage contract: now never decreases, every
+    end <= now is purged before the next input, and a positive holds
+    now.  Both the lone and the multi-contribution fold run; every step
+    emits what the reference emits, and each negative cancels the live
+    advertisement it names."""
     key = ("a", "b", "l")
+    folds = 0
     for trial in range(200):
         rng = random.Random(trial)
         c = CoalesceStage(1)
-        contribs, advertised, live = {}, [], {}
-        w = 0
+        contribs, advertised, live = {}, None, {}
+        now = 0
         for _ in range(40):
             roll = rng.random()
             if roll < 0.1:
-                w += rng.randint(1, 4)
-                c.on_watermark(w)
-                contribs = {o: e for o, e in contribs.items() if e[0].end > w}
-                advertised = [e for e in advertised if e[0].end > w]
-                live = {o: e for o, e in live.items() if e[0].end > w}
+                now += rng.randint(1, 4)
+                c.on_watermark(now)
+                contribs = {o: e for o, e in contribs.items() if e[0].end > now}
+                if advertised is not None and advertised[0].end <= now:
+                    advertised = None
+                live = {o: e for o, e in live.items() if e[0].end > now}
                 continue
             if roll < 0.4 and contribs:
                 origin = rng.choice(sorted(contribs))
                 del contribs[origin]
-                iv, payload = Interval(w, w + 1), ()  # ignored by a negative
+                iv, payload = Interval(now, now + 1), ()  # ignored by a negative
                 sign = -1
             else:
                 origin = rng.choice([o for o in range(3) if len(contribs) < 3
                                      or o in contribs])
-                start = w + rng.randint(0, 6)
-                iv = Interval(start, start + rng.randint(1, 5))
+                iv = Interval(max(0, now - rng.randint(0, 6)), now + rng.randint(1, 5))
                 payload = (rng.choice("pq"),)
                 contribs[origin] = (iv, payload)
                 sign = 1
+            folds += len(contribs) > 1
             t = StreamTuple(*key, iv, payload, sign, origin=origin)
-            got = c.on_tuple(0, t, w)
+            got = c.on_tuple(0, t, now)
             want, advertised = reference_republish(contribs, advertised)
             assert [(o.sign, o.interval, o.payload) for o in got] == want, trial
             for o in got:
@@ -279,7 +280,8 @@ def test_coalesce_single_key_matches_reference_republish():
                     live[o.origin] = (o.interval, o.payload)
                 else:
                     assert live.pop(o.origin) == (o.interval, o.payload)
-            assert sorted(live.values()) == advertised
+            assert list(live.values()) == ([] if advertised is None else [advertised])
+    assert folds > 0
 
 
 # pattern join

@@ -12,6 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from streamgraph import algebra
 from streamgraph.model import EdgeEvent, Interval, StreamTuple
+from streamgraph.operators import CoalesceStage
 from streamgraph.query import parse_query, to_plan
 from streamgraph.runtime import (
     GC_GEN0_THRESHOLD,
@@ -239,6 +240,19 @@ def test_sink_snapshot_is_the_live_view_and_results_the_net_log():
     pipe.feed(EdgeEvent("u", "v", "a", 7, -1, 2, ref=1))
     assert sink.snapshot(7) == set()
     assert [val(t) for t in sink.results()] == [("x", "y", "a", 0, 6)]
+
+
+def test_coalesce_state_size_is_contributions_plus_advertised_keys():
+    """After a run, each Coalesce's state_size() counts one per stored
+    contribution and one per advertised key."""
+    q = parse_query("Answer(x, y) <- a(x, m), b+(m, y)", window=40, slide=5)
+    pipe = compile_plan(to_plan(q))
+    run_stream(pipe, generate_synthetic(12, 300, labels=("a", "b"), seed=3))
+    stages = [n.stage for n in pipe.nodes if isinstance(n.stage, CoalesceStage)]
+    held = [sum(len(per_key) for per_key in s.contribs.values()) + len(s.advertised)
+            for s in stages]
+    assert [s.state_size() for s in stages] == held
+    assert all(held)
 
 
 
