@@ -846,6 +846,13 @@ def _net_digest(results) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
+def _end_digest(results) -> str:
+    """Digest of the net results by (src, trg, label, end): what is
+    answered, and until when, whatever the starts and payloads."""
+    lines = sorted(f"{t.src} {t.trg} {t.label} {t.exp}" for t in results)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
 _EMISSION_LOGS = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -894,6 +901,21 @@ PINNED_OUTPUTS = {
 }
 
 
+# net-result digest by (src, trg, label, end) (``_end_digest``) of every
+# catalog shape over the same stream; where a Coalesce sits may move
+# starts, payloads and the log, but never these
+PINNED_ENDS = {
+    "closure": "69f3665ace92c007",
+    "step_closure": "a3387ff1ef0e9813",
+    "union_closures": "86027fff4b5e29a9",
+    "chain_closure": "1ba431f7bff1eaba",
+    "square": "552cc48a9d1bfc05",
+    "guarded_closure": "835050e5035f39f5",
+    "nested_closure": "bca69e890cc74be0",
+    "siblings_closure": "11c647caf4f4c793",
+}
+
+
 # ordered signed emission log digest (``_log_digest``, origins included)
 # of every catalog shape over the same stream, in the "derived" and
 # "expanded" payload modes
@@ -916,7 +938,7 @@ def test_catalog_outputs_are_pinned():
     semantics on purpose (say, what ``*`` means), update these
     values deliberately in that change and say why."""
     events = _fuzz_events(seed=7, ops=3000)
-    got, hoisted, logs = {}, {}, {}
+    got, hoisted, logs, ends = {}, {}, {}, {}
     for name, text in TABLE_QUERIES.items():
         plan = to_plan(parse_query(text, window=40, slide=5))
         variants = ((got, plan), (hoisted, algebra.rewrite_window_filter(plan, "up")))
@@ -925,9 +947,11 @@ def test_catalog_outputs_are_pinned():
             run_stream(pipe, events)
             out[name] = (len(pipe.sink.log), _net_digest(pipe.sink.results()))
             logs.setdefault(name, []).append(_log_digest(pipe.sink.log))
+            ends.setdefault(name, []).append(_end_digest(pipe.sink.results()))
         pipe = compile_plan(plan, payload="expanded")
         run_stream(pipe, events)
         logs[name].append(_log_digest(pipe.sink.log))
+    assert ends == {n: [d, d] for n, d in PINNED_ENDS.items()}
     assert got == PINNED_OUTPUTS
     assert hoisted == PINNED_OUTPUTS
     # derived plan, derived hoisted plan, expanded plan
