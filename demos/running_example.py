@@ -41,8 +41,10 @@ def main():
     events = [EdgeEvent(s, d, l, ts, 1, i) for i, (s, d, l, ts) in enumerate(STREAM)]
     metrics = run_stream(pipe, events)
 
+    # a tapped relation below the root is not coalesced: a key may be
+    # live under several origins at once, each with its own witness
     for name, buf in taps.items():
-        print(f"\n{name} (net):")
+        print(f"\n{name} (net, one line per origin):")
         for t in sorted(net_results(buf), key=lambda t: (t.ts, t.key)):
             print(" ", format_result(t))
 

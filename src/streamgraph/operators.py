@@ -7,6 +7,7 @@ origin o.  Operators therefore keep their state keyed by origin, which
 makes deletion cascades and interval corrections purely mechanical:
 
     scan      origin = input event id; a deletion's is the id it undoes
+    union     origin = (input port, child origin)
     join      origin = tuple of child origins
     path      origin = (op, root, vertex, state)
     coalesce  origin = fresh per advertised interval
@@ -14,13 +15,14 @@ makes deletion cascades and interval corrections purely mechanical:
 The join takes negative tuples through the same code as positive ones:
 where a positive is stored, a negative removes the stored entry, and
 either then probes the opposite side and cascades with its own sign.
+A positive under a stored origin replaces the entry and re-emits every
+row through it: all stored entries hold now, so no row's interval empties.
 
 Scans remember nothing.  A scan stamps every event, deletions included,
 with the window of the event's own timestamp, so a deletion's interval
-is not its insertion's; the coalesce stage behind every scan cancels a
-retraction by key and origin alone and never reads that interval.
+is not its insertion's; the stages above cancel it by origin.
 
-The coalesce stage restores set semantics after stateful operators: it
+The coalesce stage restores set semantics once, at the plan's root: it
 tracks one interval per upstream origin and (src, trg, label) key, and
 advertises one tuple per key, the hull of the key's live contributions,
 which all hold the current instant.  A new hull or payload retracts the
@@ -97,19 +99,15 @@ class FilterStage:
 
 
 class UnionStage:
-    """Merges any number of inputs under one label."""
+    """Merges any number of inputs under one label, tagging each origin
+    with its port: two inputs may use one origin for different tuples."""
 
     def __init__(self, label: str):
         self.label = label
 
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
-        if t.label == self.label:
-            return [t]
-        return [
-            StreamTuple(
-                t.src, t.trg, self.label, t.interval, t.payload, t.sign, origin=t.origin
-            )
-        ]
+        return [StreamTuple(t.src, t.trg, self.label, t.interval, t.payload, t.sign,
+                            origin=(port, t.origin))]
 
     def on_watermark(self, w: int) -> None:
         pass

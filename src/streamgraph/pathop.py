@@ -28,6 +28,10 @@ breaking the invariant above, so relaxing them yields the widest tree
 again.  Every regrown node is new, so its result is emitted once with
 its new witness; a removed result that does not come back is retracted.
 
+An input below the plan's root may re-emit an edge under a held origin
+with a new interval or payload: the held edge is deleted, with the
+repair above, and the new one inserted.
+
 Expiry is a deletion that does not regrow.  The driver purges at every
 instant an interval can end, before any input at that instant (see
 runtime.py), so nothing here meets a node or an edge that has ended.
@@ -351,6 +355,8 @@ class PathStage:
     # Stage protocol.
 
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
-        if t.sign > 0:
-            return self.insert(t)
-        return self.delete(t)
+        if t.sign < 0:
+            return self.delete(t)
+        # a positive under a held origin replaces that edge
+        held = t.origin in self.adj.get(t.label, {}).get(t.src, ())
+        return (self.delete(t) if held else []) + self.insert(t)

@@ -20,19 +20,19 @@ of a multiple of it, and one for the rest of the stream at the end.
 The stage contract: ``on_tuple(port, t, now)`` may assume that
 ``on_watermark(w)`` has run for every end ``w <= now``, so no stage
 ever meets state that has ended, and that a positive ``t`` holds
-``now``: ``start <= now < end``.  A negative's interval is not
-constrained: a scan stamps a deletion with the deletion's own window,
-and the Coalesce behind it cancels by key and origin alone.
+``now``: ``start <= now < end``.  A positive under a held origin
+replaces that origin's tuple.  A negative cancels by origin at every
+stage; it holds ``now`` too, but a scan stamps a deletion with its own
+window, not with the one of the insertion it cancels.
 
-Set semantics are restored by a coalescing stage placed behind every
-operator that can produce value-equivalent overlapping tuples: scans,
-unions, joins and path navigation.  Every scan meets a Coalesce through
-filters and unions only: its own, or that of the Window above it.  A
-Window compiles into the scans beneath it, which stamp its intervals,
-and is left as their Coalesce.  An unwindowed scan outside any Window
-stamps intervals that never end.  Scans are stateless; the Coalesce
-matches each deletion to the insertion it undoes.  The sink keeps only
-the emission log: the root Coalesce's advertisements are the live set.
+Set semantics are restored once, by the one Coalesce compiled directly
+below the plan's root filters.  Below it, stages take bags: a Path or a
+join re-emits a result under the same origin with a new interval or
+payload, and one key may be live under several origins.  A Window
+compiles into the scans beneath it, which stamp its intervals, and
+leaves no stage; an unwindowed scan outside any Window stamps intervals
+that never end.  Scans are stateless.  The sink keeps only the emission
+log: the root Coalesce's advertisements are the live set.
 
 ``run_stream`` keeps the cyclic collector off the live window state.
 Right after every watermark at a step boundary the driver calls
@@ -55,6 +55,7 @@ see ``run_stream``.
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -171,30 +172,26 @@ class Pipeline:
         self.slide = math.gcd(*(v for w in windows for v in w)) or 1
         # the unit of the metrics' slides and latencies
         self.min_slide = min((slide for _size, slide in windows), default=1)
-        self._ids = 0
-        top = self._add(None, None, 0, "sink")
-        self._build(plan, top, 0)
-        # compiled depth first: the plan's root filters, then its Coalesce
-        stages = [n.stage for n in self.nodes[1:]]
-        k = next(i for i, s in enumerate(stages) if isinstance(s, CoalesceStage))
-        self.sink = top.stage = OutputSink(stages[k], stages[:k])
-
-    def _next_id(self) -> int:
-        self._ids += 1
-        return self._ids
+        self._ids = itertools.count(1)  # stage ids, for origins
+        top = parent = self._add(None, None, 0, "sink")
+        node, lbl = plan, algebra.plan_label(plan)
+        while isinstance(node, algebra.Filter):  # the root filters
+            parent = self._add(FilterStage(node.predicate), parent, 0, f"filter {lbl}")
+            node = node.child
+        root = CoalesceStage(next(self._ids))
+        filters = [n.stage for n in self.nodes[1:]]
+        self._build(node, self._add(root, parent, 0, f"coalesce {lbl}"), 0)
+        self.sink = top.stage = OutputSink(root, filters)
 
     def _add(self, stage, parent: PipeNode | None, port: int, label: str) -> PipeNode:
         node = PipeNode(stage, parent, port, label)
         self.nodes.append(node)
         return node
 
-    def _coalesce(self, parent: PipeNode, port: int, lbl: str) -> PipeNode:
-        return self._add(CoalesceStage(self._next_id()), parent, port, f"coalesce {lbl}")
-
     def _build(self, node, parent: PipeNode, port: int, window=None) -> None:
         """Compile ``node`` below ``parent``.  ``window`` is the (size,
         slide) of an enclosing Window: it compiles into the scans beneath
-        it, so that the Window itself is only their Coalesce."""
+        it and leaves no stage of its own."""
         lbl = algebra.plan_label(node)
         if window is not None and not (
             isinstance(node, (algebra.Filter, algebra.Union))
@@ -207,38 +204,37 @@ class Pipeline:
         if isinstance(node, algebra.Wscan):
             if window is None:
                 window = (math.inf, 1) if node.size is None else (node.size, node.slide)
-                parent, port = self._coalesce(parent, port, lbl), 0
             entry = self._add(WindowScan(*window), parent, port, f"wscan {lbl}")
             self.sources.setdefault(node.label, []).append(entry)
         elif isinstance(node, algebra.Window):
-            co = self._coalesce(parent, port, lbl)
-            self._build(node.child, co, 0, (node.size, node.slide))
+            self._build(node.child, parent, port, (node.size, node.slide))
         elif isinstance(node, algebra.Filter):
             entry = self._add(FilterStage(node.predicate), parent, port, f"filter {lbl}")
             self._build(node.child, entry, 0, window)
         elif isinstance(node, (algebra.Union, algebra.Pattern, algebra.Path)):
             kids = node.children
-            co = self._coalesce(parent, port, lbl)
             if isinstance(node, algebra.Union):
                 stage, kind = UnionStage(node.label), "union"
             elif isinstance(node, algebra.Pattern):
                 stage, kind = PatternStage(len(kids), node.condition, node.label), "pattern"
             else:
                 stage = PathStage(
-                    build_dfa(node.regex), node.label, self._next_id(), self.payload
+                    build_dfa(node.regex), node.label, next(self._ids), self.payload
                 )
                 kind = "path"
-            entry = self._add(stage, co, 0, f"{kind} {lbl}")
+            entry = self._add(stage, parent, port, f"{kind} {lbl}")
             for i, kid in enumerate(kids):
                 self._build(kid, entry, i, window)
         else:
             raise CompileError(f"cannot compile plan node {type(node).__name__}")
 
     def tap(self, label: str) -> list[StreamTuple]:
-        """Capture the coalesced output stream of every operator whose
-        logical label matches."""
+        """Capture what the outermost stage of each occurrence of relation
+        ``label`` emits.  Below the root that is not coalesced: a key may
+        be live under several origins, and ``net_results`` reads it so."""
         buf: list[StreamTuple] = []
-        hits = [n for n in self.nodes if n.label == f"coalesce {label}"]
+        hits = [n for n in self.nodes[1:] if n.label.partition(" ")[2] == label
+                != n.parent.label.partition(" ")[2]]
         if not hits:
             raise KeyError(f"no operator labeled {label!r}")
         for n in hits:

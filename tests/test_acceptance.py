@@ -182,20 +182,24 @@ def test_running_example_matches_hand_trace():
               for i, (s, d, l, ts) in enumerate(NOTIFY_EVENTS)]
     run_stream(pipe, events)
 
-    # pattern outputs: one direct witness plus one coalesced pair
-    assert {(t.src, t.trg, t.ts, t.exp) for t in net_results(rl)} == {
-        ("y", "u", 28, 37),
-        ("u", "v", 29, 31),
-    }
+    # taps are not coalesced: per key, the intervals live under its
+    # origins.  The pattern has one witness of y -> u and two of u -> v.
+    def live(stream):
+        out = {}
+        for t in net_results(stream):
+            out.setdefault((t.src, t.trg), set()).add((t.ts, t.exp))
+        return out
 
-    # navigation outputs, including the two-edge path y -> u -> v
-    rlp_net = {(t.src, t.trg, t.ts, t.exp): t.payload for t in net_results(rlp)}
-    assert set(rlp_net) == {
-        ("y", "u", 28, 37),
-        ("u", "v", 29, 31),
-        ("y", "v", 29, 31),
+    assert live(rl) == {("y", "u"): {(28, 37)}, ("u", "v"): {(29, 31), (30, 31)}}
+
+    # navigation outputs, one per pair, including the path y -> u -> v
+    assert live(rlp) == {
+        ("y", "u"): {(28, 37)},
+        ("u", "v"): {(29, 31)},
+        ("y", "v"): {(29, 31)},
     }
-    assert rlp_net[("y", "v", 29, 31)] == (("y", "RL", "u"), ("u", "RL", "v"))
+    [yv] = [t for t in net_results(rlp) if (t.src, t.trg) == ("y", "v")]
+    assert yv.payload == (("y", "RL", "u"), ("u", "RL", "v"))
 
     assert {(t.src, t.trg, t.ts, t.exp) for t in pipe.sink.results()} == {
         ("y", "m1", 28, 37),
@@ -482,38 +486,67 @@ def test_insert_delete_fuzz_matches_from_scratch_oracle(monkeypatch):
         _assert_replay_matches(name, pipe, nows, snaps)
 
 
+def _fuzz_against_oracle(name, text, events, window, slide, nows):
+    """Run ``text`` over ``events`` and check it at every instant: the
+    snapshot equals the oracle, every tree sits at the widest validity
+    its stage's live adjacency gives, no ended edge lingers in any
+    adjacency, and the written log replays to the snapshot."""
+    q = parse_query(text, window=window, slide=slide)
+    pipe = compile_plan(to_plan(q))
+    stages = [n.stage for n in pipe.nodes if isinstance(n.stage, PathStage)]
+    snaps = {}
+    nows.clear()
+
+    def at(t):
+        snaps[t] = snap = pipe.sink.snapshot(t)
+        got = {(s, d) for s, d, _ in snap}
+        want = answer_pairs(eval_query_at(q, events, t))
+        assert got == want, (name, t, got - want, want - got)
+        for st in stages:
+            _check_tree_attachment(st, t)
+            assert not any(e.exp <= t for per_src in st.adj.values()
+                           for bucket in per_src.values()
+                           for e in bucket.values()), (name, t)
+
+    run_stream(pipe, events, instants=list(range(len(events))), on_instant=at)
+    _assert_replay_matches(name, pipe, nows, snaps)
+
+
 def test_mid_slide_expiry_fuzz_matches_from_scratch_oracle(monkeypatch):
     """A window that is not a multiple of its slide ends edges between
     slide boundaries, and some deletions retract already-ended edges;
     the watermark step is the gcd of size and slide, so no ended edge
-    lingers in any adjacency, and trees, results and the replayed log
-    match the oracle at every instant."""
+    lingers in any adjacency, and on every catalog shape trees, results
+    and the replayed log match the oracle at every instant."""
     nows = _record_nows(monkeypatch)
-    lingered = 0
-    for seed_shift, name in enumerate(("closure", "step_closure",
-                                       "chain_closure", "siblings_closure")):
+    for seed_shift, (name, text) in enumerate(TABLE_QUERIES.items()):
         events = _fuzz_events(seed=600 + seed_shift, ops=600, vertices=6)
-        q = parse_query(TABLE_QUERIES[name], window=7, slide=3)
-        pipe = compile_plan(to_plan(q))
-        stages = [n.stage for n in pipe.nodes if isinstance(n.stage, PathStage)]
-        snaps = {}
-        nows.clear()
+        _fuzz_against_oracle(name, text, events, 7, 3, nows)
 
-        def at(t):
-            nonlocal lingered
-            snaps[t] = snap = pipe.sink.snapshot(t)
-            got = {(s, d) for s, d, _ in snap}
-            want = answer_pairs(eval_query_at(q, events, t))
-            assert got == want, (name, t, got - want, want - got)
-            for st in stages:
-                _check_tree_attachment(st, t)
-                lingered += any(e.exp <= t for per_src in st.adj.values()
-                                for bucket in per_src.values()
-                                for e in bucket.values())
 
-        run_stream(pipe, events, instants=list(range(len(events))), on_instant=at)
-        _assert_replay_matches(name, pipe, nows, snaps)
-    assert lingered == 0
+# two rules that give one relation equal join origins for different keys
+TWO_RULE_CLOSURE = ("P(x, y) <- a(x, z), b(z, y)\n"
+                    "P(x, z) <- a(x, z), b(z, y)\n"
+                    "Answer(x, y) <- P+(x, y)")
+
+
+@pytest.mark.parametrize("queries, seed, window, slide", [
+    (TABLE_QUERIES, 501, 100, 10),
+    ({"two-rule closure": TWO_RULE_CLOSURE}, 300, 10 ** 6, 1),
+    ({"two-rule closure": TWO_RULE_CLOSURE}, 300, 40, 5),
+], ids=["catalog", "union-origins-unwindowed", "union-origins-windowed"])
+def test_bag_inputs_below_the_root_match_the_oracle(monkeypatch, queries, seed,
+                                                    window, slide):
+    """Only the root coalesces, so the stages below it take bags.  A
+    Path whose input re-emits a result under the same origin with a new
+    interval must replace that edge (nested_closure at window 100, slide
+    10, among the catalog shapes), and a union must keep its inputs'
+    equal origins apart (two rules of one relation whose joins give
+    equal origins for different keys)."""
+    nows = _record_nows(monkeypatch)
+    events = _fuzz_events(seed=seed, ops=300, vertices=6)
+    for name, text in queries.items():
+        _fuzz_against_oracle(name, text, events, window, slide, nows)
 
 
 # a plan whose two windows purge on different slides (10/5 and 9/3)
@@ -712,18 +745,18 @@ def test_performance_budget_on_cyclic_stream(tmp_path):
 
 def test_set_semantics_hook_covers_all_runs():
     """The contract and duplicate-detection hook is live on every test
-    in this module; a churn-heavy run keeps every coalesced stream
-    duplicate free, and a positive that does not hold its instant is
-    caught."""
+    in this module; a churn-heavy run keeps the coalesced root stream
+    duplicate free, while a stream tapped below the root is a bag, and
+    a positive that does not hold its instant is caught."""
     before = (_HOOK_STATS["coalesce"], _HOOK_STATS["sink"])
 
     events = _fuzz_events(seed=900, ops=400)
     q = parse_query(TABLE_QUERIES["siblings_closure"], window=40, slide=5)
     pipe = compile_plan(to_plan(q))
-    answers = pipe.tap("PP")
+    answers, pairs = pipe.tap("PP"), pipe.tap("P")
     run_stream(pipe, events)
 
-    # replay the coalesced answer stream: per key, live intervals stay
+    # the PP tap reads the root Coalesce: per key, live intervals stay
     # pairwise disjoint at every prefix
     live = {}
     for t in answers:
@@ -734,6 +767,14 @@ def test_set_semantics_hook_covers_all_runs():
             live[t.origin] = (t.key, t.interval)
         else:
             live.pop(t.origin, None)
+
+    # the P tap reads the join below it: one key may hold several
+    # overlapping intervals at once, one per origin
+    per_key = {}
+    for t in net_results(pairs):
+        per_key.setdefault(t.key, []).append(t.interval)
+    assert any(len(ivs) > 1 and ivs[0].start < ivs[1].end and ivs[1].start < ivs[0].end
+               for ivs in per_key.values())
 
     after = (_HOOK_STATS["coalesce"], _HOOK_STATS["sink"])
     assert after[0] > before[0] and after[1] > before[1]
@@ -890,14 +931,14 @@ def test_emission_logs_do_not_depend_on_the_string_hash_seed():
 # emission count and net-result digest of every catalog shape over
 # _fuzz_events(seed=7, ops=3000), window 40, slide 5
 PINNED_OUTPUTS = {
-    "closure": (2197, "68cd9721f4410ba8"),
-    "step_closure": (2914, "b3a79264de4ec580"),
-    "union_closures": (7825, "f7f5fa38e1a8c7f8"),
-    "chain_closure": (891, "61fb2d9c02390313"),
-    "square": (72, "e28442ec16c0d21d"),
-    "guarded_closure": (108, "b1032b94ebfb9385"),
-    "nested_closure": (178, "53ec9bd2cbffaabd"),
-    "siblings_closure": (3935, "a55ab45fb4a72630"),
+    "closure": (2145, "6014dd4d1ae072fd"),
+    "step_closure": (2786, "b4f7f2744817ccb6"),
+    "union_closures": (6861, "9c442e34012e2109"),
+    "chain_closure": (833, "e5affbc6608a0805"),
+    "square": (70, "e28442ec16c0d21d"),
+    "guarded_closure": (106, "b1032b94ebfb9385"),
+    "nested_closure": (174, "0596c6ca10762c74"),
+    "siblings_closure": (3387, "4e1914d97027467c"),
 }
 
 
@@ -920,14 +961,14 @@ PINNED_ENDS = {
 # of every catalog shape over the same stream, in the "derived" and
 # "expanded" payload modes
 PINNED_LOG_DIGESTS = {
-    "closure": ("9626c972f82465cb", "9626c972f82465cb"),
-    "step_closure": ("c3d742b8bd51cc7e", "c3d742b8bd51cc7e"),
-    "union_closures": ("ebc58a2fe4bff519", "ebc58a2fe4bff519"),
-    "chain_closure": ("31842909ea4ba6c6", "2e750228a98b2ba6"),
-    "square": ("ac0c31613770c522", "ac0c31613770c522"),
-    "guarded_closure": ("779e3108ea09f52d", "779e3108ea09f52d"),
-    "nested_closure": ("23cbaebb72b8728b", "b045e6ce7c8bb547"),
-    "siblings_closure": ("41bc1884006feae9", "ded5d465a46f81fa"),
+    "closure": ("d7cf0096acce8fa8", "d7cf0096acce8fa8"),
+    "step_closure": ("b50201b11b2adb79", "b50201b11b2adb79"),
+    "union_closures": ("f5a5cb845c337e68", "f5a5cb845c337e68"),
+    "chain_closure": ("e1d869a056e6e0f5", "a2932e0b1f6afedc"),
+    "square": ("f814d067d98e2c8e", "f814d067d98e2c8e"),
+    "guarded_closure": ("c217e2e5a5a0e89b", "c217e2e5a5a0e89b"),
+    "nested_closure": ("c2f45f212a19489a", "f93d47a74d5d5a84"),
+    "siblings_closure": ("190643c5d102889d", "e6ed559d59388ad4"),
 }
 
 

@@ -13,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 DEMOS = [
-    (["running_example.py"], "8 events in, 9 results out, 23 window slides"),
+    (["running_example.py"], "8 events in, 5 results out, 23 window slides"),
     (["plan_family.py"], "canonical: 4 emissions, net [('v2', 'v7', 38, 40), "
                          "('v5', 'v3', 3, 10), ('v7', 'v9', 11, 15), ('v8', 'v3', 4, 10)]"),
     (["benchmark.py", "--edges", "2000", "--vertices", "200", "--window", "100",

@@ -24,6 +24,7 @@ from streamgraph.operators import (
     UnionStage,
     WindowScan,
 )
+from streamgraph.runtime import net_results
 
 
 def sgt(src, trg, label, ts, exp, origin, sign=1):
@@ -73,12 +74,19 @@ def test_filter_passes_negatives_matching_the_predicate():
     assert f.on_tuple(0, neg, 0) == [neg]
 
 
-def test_union_relabels_and_preserves_origin():
+def test_union_tags_each_origin_with_its_input_port():
+    """Two inputs may use one origin for different tuples: the outputs
+    stay apart, relabeled with their payloads kept, and a negative
+    cancels only its own input's tuple."""
     u = UnionStage("D")
-    [out] = u.on_tuple(1, sgt("a", "b", "x", 0, 5, origin=("o", 1)), 0)
-    assert out.label == "D"
-    assert out.origin == ("o", 1)
-    assert out.payload == (("a", "x", "b"),)
+    [a] = u.on_tuple(0, sgt("a", "b", "x", 0, 5, origin=("o", 1)), 0)
+    [b] = u.on_tuple(1, sgt("a", "c", "y", 0, 5, origin=("o", 1)), 0)
+    assert (a.label, b.label) == ("D", "D")
+    assert (a.payload, b.payload) == ((("a", "x", "b"),), (("a", "y", "c"),))
+    assert a.origin != b.origin
+    [neg] = u.on_tuple(1, sgt("a", "c", "y", 0, 5, origin=("o", 1), sign=-1), 1)
+    assert neg.origin == b.origin
+    assert net_results([a, b, neg]) == [a]
 
 
 # coalescing

@@ -292,6 +292,40 @@ def test_insert_then_delete_equals_never_inserted():
     }
 
 
+def _tree_state(st):
+    return {
+        root: {pair: (n.ts, n.exp, n.parent, n.payload,
+                      None if n.via is None else n.via.origin)
+               for pair, n in tree.nodes.items()}
+        for root, tree in st.trees.items()
+    }
+
+
+@pytest.mark.parametrize("payload, new", [
+    ("derived", sgt("y", "z", "a", 2, 10, 1)),
+    ("expanded", sgt("y", "z", "a", 2, 10, 1, payload=(("y", "new", "z"),))),
+    ("expanded", sgt("y", "z", "a", 0, 30, 1, payload=(("y", "new", "z"),))),
+], ids=["derived-narrower", "expanded-narrower", "expanded-payload-only"])
+def test_a_positive_under_a_held_origin_replaces_that_edge(payload, new):
+    """An input below the root re-emits a result under the same origin
+    with a new interval or payload.  The stage then holds the new edge
+    alone: its trees and net results equal those of a fresh stage that
+    was fed the new edge instead of the old one."""
+    base = [sgt("x", "y", "a", 0, 20, 0), sgt("y", "z", "a", 1, 15, 2),
+            sgt("z", "w", "a", 0, 25, 3)]
+    old = sgt("y", "z", "a", 0, 30, 1, payload=(("y", "old", "z"),))
+    st, fresh = stage("a+", "P", payload), stage("a+", "P", payload)
+    outs = []
+    for t in [old] + base + [new]:
+        outs += st.on_tuple(0, t, 2)
+    fresh_outs = []
+    for t in base + [new]:
+        fresh_outs += fresh.on_tuple(0, t, 2)
+    assert _tree_state(st) == _tree_state(fresh)
+    assert sorted(map(repr, net_results(outs))) == sorted(map(repr, net_results(fresh_outs)))
+    assert st.adj == fresh.adj
+
+
 # expiry
 
 

@@ -24,6 +24,7 @@ from streamgraph.runtime import (
     run_stream,
 )
 from streamgraph.streams import generate_synthetic
+from test_acceptance import TABLE_QUERIES
 
 NOTIFY_QUERY = """
 WINDOW 24 SLIDE 1
@@ -108,24 +109,53 @@ def test_window_over_anything_but_filters_unions_and_raw_scans_is_rejected(child
         compile_plan(algebra.Window(child, 10, 2))
 
 
-def test_notify_plan_compiles_with_coalescing_behind_every_stateful_stage():
+def test_notify_plan_compiles_one_coalesce_at_its_root():
     pipe = notify_pipeline()
     labels = sorted(n.label for n in pipe.nodes)
     assert labels == sorted([
-        "sink",
-        "wscan likes", "coalesce likes",
-        "wscan post", "coalesce post",
-        "wscan post", "coalesce post",
-        "wscan follows", "coalesce follows",
-        "path FP", "coalesce FP",
-        "pattern RL", "coalesce RL",
-        "path RLP", "coalesce RLP",
-        "pattern Answer", "coalesce Answer",
+        "sink", "coalesce Answer",
+        "wscan likes", "wscan post", "wscan post", "wscan follows",
+        "path FP", "pattern RL", "path RLP", "pattern Answer",
     ])
     assert {lbl: len(nodes) for lbl, nodes in pipe.sources.items()} == {
         "likes": 1, "post": 2, "follows": 1,
     }
     assert pipe.slide == 1
+
+
+def _catalog_variants():
+    """Every ``enumerate_plans(..., 2)`` variant of the catalog shapes,
+    and one plan with a filter left at its root."""
+    for name, text in TABLE_QUERIES.items():
+        plan = to_plan(parse_query(text, window=40, slide=5))
+        for variant in sorted(algebra.enumerate_plans(plan, 2), key=algebra.render_plan):
+            yield name, variant
+    not_q = (algebra.Comparison("src", "!=", ("const", "q")),)
+    hoisted = algebra.Window(algebra.Filter(algebra.Wscan("a"), not_q), 10, 2)
+    yield "root filter", algebra.rewrite_window_filter(hoisted, "down")
+
+
+def test_every_plan_compiles_one_coalesce_below_its_root_filters():
+    """Set semantics are restored once, at the root: the only
+    CoalesceStage sits directly below the plan's root filters, and the
+    sink reads it through them."""
+    seen = 0
+    for name, plan in _catalog_variants():
+        pipe = compile_plan(plan)
+        [co] = [n for n in pipe.nodes if isinstance(n.stage, CoalesceStage)]
+        above, node = [], plan
+        while isinstance(node, algebra.Filter):
+            above.append(node.predicate)
+            node = node.child
+        chain, n = [], co.parent
+        while n.parent is not None:
+            chain.append(n.stage.predicate)
+            n = n.parent
+        assert chain[::-1] == above, (name, algebra.render_plan(plan))
+        assert pipe.sink.root is co.stage
+        assert [f.predicate for f in pipe.sink.filters] == above
+        seen += 1
+    assert seen > 2 * len(TABLE_QUERIES)
 
 
 @pytest.mark.parametrize("a, b, step", [
@@ -327,38 +357,45 @@ def test_root_filter_snapshot_equals_its_hoisted_form(predicates):
 # -------------------------------------------------------------------- driver
 
 
+def live_by_key(stream):
+    """Per key of a tapped stream, the (ts, exp, payload) of each of its
+    net results: a tap is not coalesced, so one key may be live under
+    several origins."""
+    out = {}
+    for t in net_results(stream):
+        out.setdefault((t.src, t.trg, t.label), set()).add((t.ts, t.exp, t.payload))
+    return out
+
+
 def test_running_example_end_to_end():
     pipe = notify_pipeline()
     rl, fp, rlp = pipe.tap("RL"), pipe.tap("FP"), pipe.tap("RLP")
     m = run_stream(pipe, events(PART_A))
 
-    assert {val(t) for t in net_results(fp)} == {
-        ("y", "u", "FP", 28, 52),
-        ("u", "v", "FP", 29, 53),
-        ("y", "v", "FP", 29, 52),
+    assert {k: {iv[:2] for iv in v} for k, v in live_by_key(fp).items()} == {
+        ("y", "u", "FP"): {(28, 52)},
+        ("u", "v", "FP"): {(29, 53)},
+        ("y", "v", "FP"): {(29, 52)},
     }
 
-    rl_net = {val(t): t.payload for t in net_results(rl)}
-    assert rl_net == {
-        ("y", "u", "RL", 28, 37): (
+    # u -> v has two witnesses, one per post u likes, each live under
+    # its own join origin
+    assert live_by_key(rl) == {
+        ("y", "u", "RL"): {(28, 37, (
             ("y", "likes", "m1"), ("u", "post", "m1"), ("y", "follows", "u"),
-        ),
-        # two witnesses coalesce into one interval; the advertised payload
-        # comes from the latest-starting contributor
-        ("u", "v", "RL", 29, 31): (
-            ("u", "likes", "c"), ("v", "post", "c"), ("u", "follows", "v"),
-        ),
+        ))},
+        ("u", "v", "RL"): {
+            (29, 31, (("u", "likes", "b"), ("v", "post", "b"), ("u", "follows", "v"))),
+            (30, 31, (("u", "likes", "c"), ("v", "post", "c"), ("u", "follows", "v"))),
+        },
     }
 
-    rlp_net = {val(t): t.payload for t in net_results(rlp)}
-    assert set(rlp_net) == {
-        ("y", "u", "RLP", 28, 37),
-        ("u", "v", "RLP", 29, 31),
-        ("y", "v", "RLP", 29, 31),
+    # the path keeps one node per pair: the first, widest witness
+    assert live_by_key(rlp) == {
+        ("y", "u", "RLP"): {(28, 37, (("y", "RL", "u"),))},
+        ("u", "v", "RLP"): {(29, 31, (("u", "RL", "v"),))},
+        ("y", "v", "RLP"): {(29, 31, (("y", "RL", "u"), ("u", "RL", "v")))},
     }
-    assert rlp_net[("y", "v", "RLP", 29, 31)] == (
-        ("y", "RL", "u"), ("u", "RL", "v"),
-    )
 
     assert {val(t) for t in pipe.sink.results()} == {
         ("y", "m1", "Answer", 28, 37),
@@ -368,22 +405,52 @@ def test_running_example_end_to_end():
         ("y", "c", "Answer", 30, 31),
     }
 
+    # an insert-only stream writes no retraction
     assert m.events_in == 8
-    assert m.emissions == 9
+    assert m.emissions == 5
     assert m.slides == 23
     assert len(m.slide_latencies) == 6
     assert m.throughput > 0
 
 
+def _rl_hops(payload):
+    """The RL hops of an expanded RLP payload, checking each: likes(u1,
+    m), post(u2, m), then a follows walk from u1 to u2."""
+    hops, rest = [], list(payload)
+    while rest:
+        (u1, liked, m1), (u2, posted, m2), *rest = rest
+        assert (liked, posted, m1) == ("likes", "post", m2), payload
+        walk = []
+        while rest and rest[0][1] == "follows":
+            walk.append(rest.pop(0))
+        assert walk and walk[0][0] == u1 and walk[-1][2] == u2, payload
+        assert all(a[2] == b[0] for a, b in zip(walk, walk[1:])), payload
+        hops.append((u1, u2))
+    return hops
+
+
 def test_expanded_payloads_flatten_paths_to_base_edges():
+    """Every expanded RLP payload is a valid witness: a chain of RL
+    witnesses from src to trg, each made of base edges live over the
+    whole result interval.  Equally wide witnesses may differ, so no
+    single one is required."""
     pipe = notify_pipeline(payload="expanded")
     rlp = pipe.tap("RLP")
     run_stream(pipe, events(PART_A))
-    by_val = {val(t): t.payload for t in net_results(rlp)}
-    assert by_val[("y", "v", "RLP", 29, 31)] == (
-        ("y", "likes", "m1"), ("u", "post", "m1"), ("y", "follows", "u"),
-        ("u", "likes", "c"), ("v", "post", "c"), ("u", "follows", "v"),
-    )
+    window = {(s, l, d): (ts, ts + 24) for s, d, l, ts in PART_A}
+    results = net_results(rlp)
+    assert {val(t) for t in results} == {
+        ("y", "u", "RLP", 28, 37), ("u", "v", "RLP", 29, 31), ("y", "v", "RLP", 29, 31),
+    }
+    for t in results:
+        hops = _rl_hops(t.payload)
+        assert hops[0][0] == t.src and hops[-1][1] == t.trg, t
+        assert all(a[1] == b[0] for a, b in zip(hops, hops[1:])), t
+        for edge in t.payload:
+            start, end = window[edge]
+            assert start <= t.ts and t.exp <= end, (t, edge)
+    [yv] = [t for t in results if (t.src, t.trg) == ("y", "v")]
+    assert _rl_hops(yv.payload) == [("y", "u"), ("u", "v")]
 
 
 def test_deletion_retracts_through_a_windowed_scan():
