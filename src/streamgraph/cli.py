@@ -10,9 +10,9 @@ Subcommands:
 
 Every command exits 0 on success; ``check`` exits 1 when any instant
 differs, in the engine's live set or in the written log replayed up to
-it, or when the log retracts a result it never wrote or one that had
-ended by the instant of the retraction; usage and input errors print
-one line to stderr and exit 2.
+it (a ``+`` line replaces its key's live line), or when a ``-`` line
+does not name its key's live line or names one that had ended by then;
+usage and input errors print one line to stderr and exit 2.
 """
 
 from __future__ import annotations

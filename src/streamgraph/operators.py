@@ -10,7 +10,7 @@ makes deletion cascades and interval corrections purely mechanical:
     union     origin = (input port, child origin)
     join      origin = tuple of child origins
     path      origin = (op, root, vertex, state)
-    coalesce  origin = fresh per advertised interval
+    coalesce  origin = fresh per run of a key, kept across replacements
 
 The join takes negative tuples through the same code as positive ones:
 where a positive is stored, a negative removes the stored entry, and
@@ -25,9 +25,10 @@ is not its insertion's; the stages above cancel it by origin.
 The coalesce stage restores set semantics once, at the plan's root: it
 tracks one interval per upstream origin and (src, trg, label) key, and
 advertises one tuple per key, the hull of the key's live contributions,
-which all hold the current instant.  A new hull or payload retracts the
-old advertisement before advertising the new one; a contribution that
-changes neither causes no downstream traffic.
+which all hold the current instant.  A new hull or payload is advertised
+under the origin of the line it replaces, so a ``+`` in the written log
+replaces its key's live line and a ``-`` means the key is no longer an
+answer; a contribution that changes neither causes no downstream traffic.
 
 Expiry is handled directly: every stateful stage files each entry it
 stores in an ``ExpiryIndex`` under the entry's end, so a watermark pops
@@ -122,9 +123,10 @@ class CoalesceStage:
     contract), so together they span one interval: their hull ``[min
     start, max end)``, advertised with the payload of the widest
     contributor (largest end, then largest start, then first stored).
-    A hull or payload that differs from the advertised one retracts it
-    and advertises the new one under a fresh origin.  A positive for a
-    key with no state is stored and advertised at once, with no fold.
+    A hull or payload that differs from the advertised one replaces it
+    under the same origin: a key draws a fresh origin only when a run of
+    it starts, and is retracted only when its last contribution is gone.
+    A positive for a key with no state is advertised at once, unfolded.
     """
 
     def __init__(self, op_id: int):
@@ -149,13 +151,13 @@ class CoalesceStage:
         if t.sign > 0:
             iv = t.interval
             self.expiry.add(iv.end, key)
-            if key not in self.contribs and key not in self.advertised:
-                # a lone key: the contribution is advertised as it is
+            if key not in self.advertised:
+                # a new run of the key: the contribution is advertised as it is
                 self.contribs[key] = {t.origin: (iv, t.payload)}
                 origin = self._fresh()
                 self.advertised[key] = (origin, iv, t.payload)
                 return [StreamTuple(*key, iv, t.payload, 1, origin=origin)]
-            self.contribs.setdefault(key, {})[t.origin] = (iv, t.payload)
+            self.contribs[key][t.origin] = (iv, t.payload)
         elif self.contribs.get(key, {}).pop(t.origin, None) is None:
             log.warning("retraction for unknown contribution %r ignored", t.origin)
             return []
@@ -163,37 +165,27 @@ class CoalesceStage:
 
     def _republish(self, key: tuple) -> list[StreamTuple]:
         """Fold the key's contributions into one hull and diff it
-        against the advertisement."""
+        against the advertisement, which a key holds exactly while it
+        holds contributions."""
         per_key = self.contribs[key]
-        want = None
-        if per_key:
-            entries = iter(per_key.values())
-            iv, payload = next(entries)
-            start = iv.start
-            for other, other_payload in entries:
-                if other.start < start:
-                    start = other.start
-                if other.end > iv.end or (other.end == iv.end and other.start > iv.start):
-                    iv, payload = other, other_payload
-            want = (iv if start == iv.start else Interval(start, iv.end), payload)
-        else:
-            del self.contribs[key]
-        src, trg, label = key
-        out: list[StreamTuple] = []
-        old = self.advertised.get(key)
-        if old is not None:
-            origin, iv, payload = old
-            if want == (iv, payload):
-                return out
-            out.append(StreamTuple(src, trg, label, iv, payload, -1, origin=origin))
-        if want is None:
-            self.advertised.pop(key, None)
-        else:
-            iv, payload = want
-            origin = self._fresh()
-            self.advertised[key] = (origin, iv, payload)
-            out.append(StreamTuple(src, trg, label, iv, payload, 1, origin=origin))
-        return out
+        origin, old_iv, old_payload = self.advertised[key]
+        if not per_key:  # the key's last contribution is gone
+            del self.contribs[key], self.advertised[key]
+            return [StreamTuple(*key, old_iv, old_payload, -1, origin=origin)]
+        entries = iter(per_key.values())
+        iv, payload = next(entries)
+        start = iv.start
+        for other, other_payload in entries:
+            if other.start < start:
+                start = other.start
+            if other.end > iv.end or (other.end == iv.end and other.start > iv.start):
+                iv, payload = other, other_payload
+        if start != iv.start:
+            iv = Interval(start, iv.end)
+        if (iv, payload) == (old_iv, old_payload):
+            return []
+        self.advertised[key] = (origin, iv, payload)
+        return [StreamTuple(*key, iv, payload, 1, origin=origin)]
 
     def on_watermark(self, w: int) -> None:
         # Expired state disappears without emissions; only keys that own

@@ -150,14 +150,15 @@ def replay_log(emissions, instants: list[int]) -> list[tuple[int, set, list[str]
     """Replay a written result log the way a consumer reads it.
 
     ``emissions`` are ``(now, tuple)`` pairs in log order, ``now`` being
-    the instant the tuple was logged at.  Lines carry no origin, so each
-    ``-`` must cancel an earlier live ``+`` with the same key, interval
-    and payload, and, since expiry never retracts, must not have ended
-    by its ``now``.  Returns, for each ascending instant ``t``, ``(t,
-    keys of the live + lines that hold t, one message per bad - line
-    logged since the instant before)``.
+    the instant the tuple was logged at.  Lines carry no origin: a key
+    has at most one live line, a ``+`` sets it, replacing any it had,
+    and a ``-`` must name it, with the same interval and payload, and,
+    since expiry never retracts, must not have ended by its ``now``.
+    Returns, for each ascending instant ``t``, ``(t, keys whose live
+    line holds t, one message per bad - line logged since the instant
+    before)``.
     """
-    live: dict[tuple, int] = {}  # (key, interval, payload) -> live + lines
+    live: dict[tuple, tuple] = {}  # key -> (interval, payload) of its line
     emissions = iter(emissions)
     pending = next(emissions, None)
     out = []
@@ -165,20 +166,17 @@ def replay_log(emissions, instants: list[int]) -> list[tuple[int, set, list[str]
         problems = []
         while pending is not None and pending[0] <= t:
             now, x = pending
-            line = (x.key, x.interval, x.payload)
             if x.sign > 0:
-                live[line] = live.get(line, 0) + 1
+                live[x.key] = (x.interval, x.payload)
             elif x.exp <= now:
                 problems.append(f"retracted an ended result {format_result(x)}")
-            elif line in live:
-                live[line] -= 1
-                if not live[line]:
-                    del live[line]
+            elif live.get(x.key) == (x.interval, x.payload):
+                del live[x.key]
             else:
                 problems.append(f"retracted an unknown result {format_result(x)}")
             pending = next(emissions, None)
         # a line that has ended holds no later instant, and a later - of
         # it is flagged as ended
-        live = {line: n for line, n in live.items() if line[1].end > t}
-        out.append((t, {key for key, iv, _ in live if iv.start <= t}, problems))
+        live = {key: line for key, line in live.items() if line[0].end > t}
+        out.append((t, {key for key, (iv, _) in live.items() if iv.start <= t}, problems))
     return out

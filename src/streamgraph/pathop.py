@@ -30,7 +30,8 @@ its new witness; a removed result that does not come back is retracted.
 
 An input below the plan's root may re-emit an edge under a held origin
 with a new interval or payload: the held edge is deleted, with the
-repair above, and the new one inserted.
+repair above, and the new one inserted; a result retracted and regrown
+so is only re-emitted, as every consumer replaces by origin.
 
 Expiry is a deletion that does not regrow.  The driver purges at every
 instant an interval can end, before any input at that instant (see
@@ -357,6 +358,10 @@ class PathStage:
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
         if t.sign < 0:
             return self.delete(t)
-        # a positive under a held origin replaces that edge
-        held = t.origin in self.adj.get(t.label, {}).get(t.src, ())
-        return (self.delete(t) if held else []) + self.insert(t)
+        if t.origin not in self.adj.get(t.label, {}).get(t.src, ()):
+            return self.insert(t)
+        # a positive under a held origin replaces that edge; a result it
+        # retracts and regrows is only re-emitted, which replaces it
+        gone, grown = self.delete(t), self.insert(t)
+        back = {r.origin for r in grown}
+        return [r for r in gone if r.sign > 0 or r.origin not in back] + grown

@@ -32,7 +32,8 @@ payload, and one key may be live under several origins.  A Window
 compiles into the scans beneath it, which stamp its intervals, and
 leaves no stage; an unwindowed scan outside any Window stamps intervals
 that never end.  Scans are stateless.  The sink keeps only the emission
-log: the root Coalesce's advertisements are the live set.
+log, which is key-addressed (see operators.py): the root Coalesce's
+advertisements are the live set.
 
 ``run_stream`` keeps the cyclic collector off the live window state.
 Right after every watermark at a step boundary the driver calls

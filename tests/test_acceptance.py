@@ -16,9 +16,11 @@ Time budgets are asserted inside the tests that carry one.
 A module-wide hook (autouse fixture) patches the coalescing stage and
 the output sink so that every test here also asserts the stage contract
 on every coalescing input (a positive holds the instant it arrives at,
-which is what lets the stage keep one advertisement per key) and that no
-two live value-equivalent tuples with overlapping intervals ever coexist
-in the output.
+which is what lets the stage keep one advertisement per key) and the
+written log's contract: no two live value-equivalent tuples with
+overlapping intervals ever coexist in the output, a positive under a
+held origin changes the line it replaces, and a negative names its
+origin's live line.
 """
 
 from __future__ import annotations
@@ -72,13 +74,15 @@ TABLE_QUERIES = {
 _HOOK_STATS = {"coalesce": 0, "sink": 0, "violations": 0}
 
 
+def _violation(message):
+    _HOOK_STATS["violations"] += 1
+    raise AssertionError(message)
+
+
 def _assert_holds_now(t, now):
     """The stage contract on a Coalesce input: a positive holds ``now``."""
     if t.sign > 0 and not t.interval.contains(now):
-        _HOOK_STATS["violations"] += 1
-        raise AssertionError(
-            f"coalescer received a positive for {t.key} over {t.interval} at {now}"
-        )
+        _violation(f"coalescer received a positive for {t.key} over {t.interval} at {now}")
 
 
 @pytest.fixture(autouse=True)
@@ -99,20 +103,25 @@ def set_semantics_hook(monkeypatch):
         buckets = getattr(self, "_hook_by_key", None)
         if buckets is None:
             buckets = self._hook_by_key = {}
+        # origin -> live (interval, payload), per key
         bucket = buckets.setdefault(t.key, {})
+        for origin, (iv, _) in list(bucket.items()):
+            if iv.end <= now:
+                del bucket[origin]
+        line, held = (t.interval, t.payload), bucket.get(t.origin)
         if t.sign > 0:
-            for origin, iv in list(bucket.items()):
-                if iv.end <= now:
-                    del bucket[origin]
-                elif origin != t.origin and t.ts < iv.end and iv.start < t.exp:
-                    _HOOK_STATS["violations"] += 1
-                    raise AssertionError(
-                        f"output holds two live tuples for {t.key}: "
-                        f"{iv} and {t.interval}"
-                    )
-            bucket[t.origin] = t.interval
+            for origin, (iv, _) in bucket.items():
+                if origin != t.origin and t.ts < iv.end and iv.start < t.exp:
+                    _violation(f"output holds two live tuples for {t.key}: "
+                               f"{iv} and {t.interval}")
+            if held == line:
+                _violation(f"output replaced {t.key}'s line by itself: {t.interval}")
+            bucket[t.origin] = line
+        elif held != line:
+            _violation(f"output retracted {t.key} over {t.interval}, "
+                       f"but its origin's live line is {held}")
         else:
-            bucket.pop(t.origin, None)
+            del bucket[t.origin]
         _HOOK_STATS["sink"] += 1
         return out
 
@@ -555,8 +564,8 @@ MIXED_SLIDE_PLAN = ("union[D](path[a+ -> P](wscan[a size=10 slide=5]),"
 
 
 def test_expiry_never_retracts(monkeypatch):
-    """Expiry drops state silently; only explicit deletions and
-    retract-and-replace merges retract.  At window 10, slide 3, where
+    """Expiry drops state silently; only explicit deletions retract.
+    At window 10, slide 3, where
     ends fall between slide boundaries, and in a plan that mixes slides,
     no retraction in the replayed log names a result that had ended by
     the instant it was emitted, or one the log never wrote, and no two
@@ -583,6 +592,27 @@ def test_expiry_never_retracts(monkeypatch):
             ivs.sort()
             assert all(a.end <= b.start for a, b in zip(ivs, ivs[1:])), (name, key, ivs)
     assert retractions > 0
+
+
+@pytest.mark.parametrize("window, slide", [(40, 5), (100, 10), (7, 3)])
+def test_insert_only_streams_write_no_retraction(window, slide):
+    """Negative lines carry explicit deletions only: a replacement is
+    one positive line, and expiry writes nothing, so over the insertions
+    of the fuzz stream no catalog shape writes a ``-`` line, while
+    closure over the whole stream does."""
+    events = _fuzz_events(seed=7, ops=3000)
+    inserts = [e for e in events if e.sign > 0]
+    lines = 0
+    for name, text in TABLE_QUERIES.items():
+        pipe = compile_plan(to_plan(parse_query(text, window=window, slide=slide)))
+        run_stream(pipe, inserts)
+        lines += len(pipe.sink.log)
+        assert not any(t.sign < 0 for t in pipe.sink.log), name
+    assert lines > 0
+    pipe = compile_plan(to_plan(parse_query(TABLE_QUERIES["closure"], window=window,
+                                            slide=slide)))
+    run_stream(pipe, events)
+    assert any(t.sign < 0 for t in pipe.sink.log)
 
 
 @pytest.mark.parametrize("plan, lines, want", [
@@ -786,6 +816,17 @@ def test_set_semantics_hook_covers_all_runs():
         with pytest.raises(AssertionError, match="received a positive"):
             stage.on_tuple(0, StreamTuple("x", "y", "R", iv, origin="o1"), 5)
     assert stage.contribs == {} and stage.advertised == {}
+    # nor is it on the sink: a no-op line, and a negative that does not
+    # name its origin's live line
+    sink = runtime.OutputSink(stage, [])
+    line = StreamTuple("x", "y", "R", Interval(0, 10), origin="o1")
+    sink.on_tuple(0, line, 0)
+    with pytest.raises(AssertionError, match="by itself"):
+        sink.on_tuple(0, line, 1)
+    for wrong in (StreamTuple("x", "y", "R", Interval(0, 9), (), -1, origin="o1"),
+                  StreamTuple("x", "y", "R", Interval(0, 10), (), -1, origin="o2")):
+        with pytest.raises(AssertionError, match="retracted"):
+            sink.on_tuple(0, wrong, 2)
 
 
 # --------------------------------------------------- 10. state drains
@@ -931,14 +972,14 @@ def test_emission_logs_do_not_depend_on_the_string_hash_seed():
 # emission count and net-result digest of every catalog shape over
 # _fuzz_events(seed=7, ops=3000), window 40, slide 5
 PINNED_OUTPUTS = {
-    "closure": (2145, "6014dd4d1ae072fd"),
-    "step_closure": (2786, "b4f7f2744817ccb6"),
-    "union_closures": (6861, "9c442e34012e2109"),
-    "chain_closure": (833, "e5affbc6608a0805"),
-    "square": (70, "e28442ec16c0d21d"),
-    "guarded_closure": (106, "b1032b94ebfb9385"),
-    "nested_closure": (174, "0596c6ca10762c74"),
-    "siblings_closure": (3387, "4e1914d97027467c"),
+    "closure": (2006, "6014dd4d1ae072fd"),
+    "step_closure": (2421, "b4f7f2744817ccb6"),
+    "union_closures": (5257, "9c442e34012e2109"),
+    "chain_closure": (774, "e5affbc6608a0805"),
+    "square": (66, "e28442ec16c0d21d"),
+    "guarded_closure": (102, "b1032b94ebfb9385"),
+    "nested_closure": (166, "0596c6ca10762c74"),
+    "siblings_closure": (2476, "4e1914d97027467c"),
 }
 
 
@@ -961,14 +1002,14 @@ PINNED_ENDS = {
 # of every catalog shape over the same stream, in the "derived" and
 # "expanded" payload modes
 PINNED_LOG_DIGESTS = {
-    "closure": ("d7cf0096acce8fa8", "d7cf0096acce8fa8"),
-    "step_closure": ("b50201b11b2adb79", "b50201b11b2adb79"),
-    "union_closures": ("f5a5cb845c337e68", "f5a5cb845c337e68"),
-    "chain_closure": ("e1d869a056e6e0f5", "a2932e0b1f6afedc"),
-    "square": ("f814d067d98e2c8e", "f814d067d98e2c8e"),
-    "guarded_closure": ("c217e2e5a5a0e89b", "c217e2e5a5a0e89b"),
-    "nested_closure": ("c2f45f212a19489a", "f93d47a74d5d5a84"),
-    "siblings_closure": ("190643c5d102889d", "e6ed559d59388ad4"),
+    "closure": ("5025e226bf143928", "5025e226bf143928"),
+    "step_closure": ("46dbc2fce4fa71b2", "46dbc2fce4fa71b2"),
+    "union_closures": ("3c88d94f5fcf7a22", "3c88d94f5fcf7a22"),
+    "chain_closure": ("e2a999cf511ff91f", "811d16edb4946940"),
+    "square": ("6cb3128c9d113d23", "6cb3128c9d113d23"),
+    "guarded_closure": ("38958c54bcb04698", "38958c54bcb04698"),
+    "nested_closure": ("54bc21c2e86243d0", "584d6b91e8774918"),
+    "siblings_closure": ("9f8e8bc01762145b", "7944d5b8f110d72c"),
 }
 
 

@@ -100,18 +100,20 @@ def test_coalesce_absorbs_subset_contribution_silently():
     assert c.on_tuple(0, sgt("a", "b", "l", 30, 31, origin=2), 30) == []
 
 
-def test_coalesce_extends_by_retract_then_replace():
+def test_coalesce_extends_by_one_replacing_positive():
+    """A wider hull is advertised as one positive under the origin of
+    the line it replaces."""
     c = CoalesceStage(1)
-    c.on_tuple(0, sgt("a", "b", "l", 10, 20, origin=1), 10)
+    [first] = c.on_tuple(0, sgt("a", "b", "l", 10, 20, origin=1), 10)
     out = c.on_tuple(0, sgt("a", "b", "l", 15, 30, origin=2), 15)
-    assert [(t.sign, t.ts, t.exp) for t in out] == [(-1, 10, 20), (1, 10, 30)]
+    assert [(t.sign, t.ts, t.exp, t.origin) for t in out] == [(1, 10, 30, first.origin)]
 
 
 def test_coalesce_reemission_with_same_origin_replaces():
     c = CoalesceStage(1)
     c.on_tuple(0, sgt("a", "b", "l", 10, 20, origin=1), 10)
     out = c.on_tuple(0, sgt("a", "b", "l", 10, 25, origin=1), 12)
-    assert [(t.sign, t.ts, t.exp) for t in out] == [(-1, 10, 20), (1, 10, 25)]
+    assert [(t.sign, t.ts, t.exp) for t in out] == [(1, 10, 25)]
 
 
 def test_coalesce_retraction_splits_merged_interval():
@@ -119,7 +121,11 @@ def test_coalesce_retraction_splits_merged_interval():
     c.on_tuple(0, sgt("a", "b", "l", 0, 10, origin=1), 0)
     c.on_tuple(0, sgt("a", "b", "l", 8, 20, origin=2), 8)
     out = c.on_tuple(0, sgt("a", "b", "l", 0, 10, origin=1, sign=-1), 9)
-    assert [(t.sign, t.ts, t.exp) for t in out] == [(-1, 0, 20), (1, 8, 20)]
+    assert [(t.sign, t.ts, t.exp) for t in out] == [(1, 8, 20)]
+    # the key's last contribution gone: only now is the line retracted
+    out = c.on_tuple(0, sgt("a", "b", "l", 8, 20, origin=2, sign=-1), 9)
+    assert [(t.sign, t.ts, t.exp) for t in out] == [(-1, 8, 20)]
+    assert c.contribs == {} and c.advertised == {}
 
 
 @pytest.mark.parametrize("start, end", [(10, 20), (31, 41), (0, 1)])
@@ -132,7 +138,7 @@ def test_coalesce_cancels_a_retraction_by_key_and_origin_alone(start, end):
     # same origin under another key cancels nothing
     assert c.on_tuple(0, sgt("a", "c", "l", start, end, origin=1, sign=-1), 15) == []
     out = c.on_tuple(0, sgt("a", "b", "l", start, end, origin=1, sign=-1), 15)
-    assert [(t.sign, t.ts, t.exp) for t in out] == [(-1, 10, 22), (1, 12, 22)]
+    assert [(t.sign, t.ts, t.exp) for t in out] == [(1, 12, 22)]
     assert list(c.contribs[("a", "b", "l")]) == [2]
 
 
@@ -178,11 +184,11 @@ def test_coalesce_payload_is_the_widest_contributors():
 
     assert feed(0, 10, 1, "p") == [(1, 0, 10, ("p",))]
     # an equal end and a larger start: its payload, the hull's start
-    assert feed(3, 10, 2, "q") == [(-1, 0, 10, ("p",)), (1, 0, 10, ("q",))]
+    assert feed(3, 10, 2, "q") == [(1, 0, 10, ("q",))]
     # an equal end and an equal start: the first stored keeps its payload
     assert feed(3, 10, 3, "r") == []
     # a larger end wins whatever its start
-    assert feed(1, 12, 4, "s") == [(-1, 0, 10, ("q",)), (1, 0, 12, ("s",))]
+    assert feed(1, 12, 4, "s") == [(1, 0, 12, ("s",))]
 
 
 def reference_fold(contribs):
@@ -230,16 +236,14 @@ def test_coalesce_stage_net_matches_batch_merge(steps):
 
 def reference_republish(contribs, advertised):
     """The diff of one key, written from reference_fold alone: nothing
-    when the fold is the advertisement, else retract the advertisement,
-    then advertise the fold.  Returns the emissions as (sign, interval,
+    when the fold is the advertisement, a retraction of the
+    advertisement when there is no fold, else the fold, which replaces
+    any advertisement.  Returns the emissions as (sign, interval,
     payload) and the new advertisement."""
     want = reference_fold(contribs)
     if want == advertised:
         return [], advertised
-    out = [] if advertised is None else [(-1, *advertised)]
-    if want is not None:
-        out.append((1, *want))
-    return out, want
+    return [(-1, *advertised) if want is None else (1, *want)], want
 
 
 def test_coalesce_single_key_matches_reference_republish():
@@ -247,8 +251,9 @@ def test_coalesce_single_key_matches_reference_republish():
     contributors, under the stage contract: now never decreases, every
     end <= now is purged before the next input, and a positive holds
     now.  Both the lone and the multi-contribution fold run; every step
-    emits what the reference emits, and each negative cancels the live
-    advertisement it names."""
+    emits what the reference emits, a positive replaces the line of its
+    origin, and each negative cancels the live advertisement it names.
+    One origin serves each run of the key."""
     key = ("a", "b", "l")
     folds = 0
     for trial in range(200):

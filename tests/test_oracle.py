@@ -8,12 +8,13 @@ own independent checks.
 from __future__ import annotations
 
 from streamgraph.automata import build_dfa, parse_regex
-from streamgraph.model import EdgeEvent
+from streamgraph.model import EdgeEvent, Interval, StreamTuple
 from streamgraph.oracle import (
     answer_pairs,
     closure_pairs,
     eval_query_at,
     live_edges,
+    replay_log,
     snapshot_graph,
     widest_validity,
 )
@@ -164,3 +165,40 @@ def test_closure_pairs_equals_enumerated_paths_on_small_graphs():
                 if all(a[1] == b[0] for a, b in zip(hops, hops[1:])):
                     want.add((hops[0][0], hops[-1][1]))
         assert closure_pairs(pairs) == want
+
+
+# replaying a written log: one line per key
+
+
+def line(sign, start, end, hop="p"):
+    """A written line of key (x, y, R), over one edge labeled ``hop``."""
+    return StreamTuple("x", "y", "R", Interval(start, end), (("x", hop, "y"),), sign)
+
+
+XY = {("x", "y", "R")}
+
+
+def test_replay_log_a_plus_replaces_its_keys_live_line():
+    log = [(0, line(1, 0, 10)), (2, line(1, 0, 15, "q")), (12, line(-1, 0, 15, "q"))]
+    assert replay_log(log, [1, 11, 12]) == [(1, XY, []), (11, XY, []), (12, set(), [])]
+    # the replaced line is no longer live: retracting it is unknown
+    [(_, live, bad)] = replay_log(log[:2] + [(3, line(-1, 0, 10))], [3])
+    assert live == XY
+    assert bad == ["retracted an unknown result - x y R 0 10 x:p:y"]
+
+
+def test_replay_log_a_minus_must_equal_the_live_line():
+    for wrong in (line(-1, 0, 12), line(-1, 1, 10), line(-1, 0, 10, "q")):
+        [(_, live, bad)] = replay_log([(0, line(1, 0, 10)), (3, wrong)], [3])
+        assert live == XY, wrong
+        assert len(bad) == 1 and bad[0].startswith("retracted an unknown result"), wrong
+
+
+def test_replay_log_a_plus_after_the_line_ended_starts_a_new_line():
+    log = [(0, line(1, 0, 5)), (6, line(1, 6, 12)), (7, line(-1, 0, 5))]
+    got = replay_log(log, [4, 5, 6, 7])
+    assert got == [(4, XY, []), (5, set(), []), (6, XY, []),
+                   (7, XY, ["retracted an ended result - x y R 0 5 x:p:y"])]
+    # the new line is the key's line: it is what a - must name
+    [(_, live, bad)] = replay_log(log[:2] + [(8, line(-1, 6, 12))], [8])
+    assert (live, bad) == (set(), [])

@@ -326,6 +326,21 @@ def test_a_positive_under_a_held_origin_replaces_that_edge(payload, new):
     assert st.adj == fresh.adj
 
 
+def test_a_held_origin_replacement_regrows_its_results_without_retracting_them():
+    """Replacing a held edge deletes it, with the repair, and inserts
+    the new one.  The results that the deletion retracts and the
+    insertion regrows are only re-emitted, under their origins, which
+    replaces them downstream; a plain deletion still retracts them."""
+    st = stage("a+", "P")
+    for t in (sgt("x", "y", "a", 0, 30, 1), sgt("y", "z", "a", 0, 30, 2)):
+        st.on_tuple(0, t, 0)
+    out = st.on_tuple(0, sgt("x", "y", "a", 0, 20, 1), 1)
+    assert [(r.sign, r.src, r.trg, r.exp) for r in out] == [
+        (1, "x", "y", 20), (1, "x", "z", 20)]
+    out = st.on_tuple(0, sgt("x", "y", "a", 0, 20, 1, sign=-1), 2)
+    assert [(r.sign, r.src, r.trg) for r in out] == [(-1, "x", "y"), (-1, "x", "z")]
+
+
 # expiry
 
 
