@@ -124,8 +124,9 @@ class CoalesceStage:
     start, max end)``, advertised with the payload of the widest
     contributor (largest end, then largest start, then first stored).
     A hull or payload that differs from the advertised one replaces it
-    under the same origin: a key draws a fresh origin only when a run of
-    it starts, and is retracted only when its last contribution is gone.
+    under the same origin, from the earlier of the two starts, as the key
+    was live throughout: a key draws a fresh origin only when a run of it
+    starts, and is retracted only when its last contribution is gone.
     A positive for a key with no state is advertised at once, unfolded.
     """
 
@@ -174,7 +175,7 @@ class CoalesceStage:
             return [StreamTuple(*key, old_iv, old_payload, -1, origin=origin)]
         entries = iter(per_key.values())
         iv, payload = next(entries)
-        start = iv.start
+        start = min(iv.start, old_iv.start)  # the key was live all along
         for other, other_payload in entries:
             if other.start < start:
                 start = other.start

@@ -972,14 +972,14 @@ def test_emission_logs_do_not_depend_on_the_string_hash_seed():
 # emission count and net-result digest of every catalog shape over
 # _fuzz_events(seed=7, ops=3000), window 40, slide 5
 PINNED_OUTPUTS = {
-    "closure": (2006, "6014dd4d1ae072fd"),
-    "step_closure": (2421, "b4f7f2744817ccb6"),
-    "union_closures": (5257, "9c442e34012e2109"),
+    "closure": (2006, "c239f6bf0ec4deae"),
+    "step_closure": (2405, "21432ce29a009978"),
+    "union_closures": (5161, "b50f564e63079512"),
     "chain_closure": (774, "e5affbc6608a0805"),
     "square": (66, "e28442ec16c0d21d"),
     "guarded_closure": (102, "b1032b94ebfb9385"),
     "nested_closure": (166, "0596c6ca10762c74"),
-    "siblings_closure": (2476, "4e1914d97027467c"),
+    "siblings_closure": (2475, "861817a0dce5e0a8"),
 }
 
 
@@ -1002,14 +1002,14 @@ PINNED_ENDS = {
 # of every catalog shape over the same stream, in the "derived" and
 # "expanded" payload modes
 PINNED_LOG_DIGESTS = {
-    "closure": ("5025e226bf143928", "5025e226bf143928"),
-    "step_closure": ("46dbc2fce4fa71b2", "46dbc2fce4fa71b2"),
-    "union_closures": ("3c88d94f5fcf7a22", "3c88d94f5fcf7a22"),
+    "closure": ("314424cbed7d9b3f", "314424cbed7d9b3f"),
+    "step_closure": ("ebf39bb96fed4c8d", "ebf39bb96fed4c8d"),
+    "union_closures": ("4b30770613318b7c", "4b30770613318b7c"),
     "chain_closure": ("e2a999cf511ff91f", "811d16edb4946940"),
     "square": ("6cb3128c9d113d23", "6cb3128c9d113d23"),
     "guarded_closure": ("38958c54bcb04698", "38958c54bcb04698"),
     "nested_closure": ("54bc21c2e86243d0", "584d6b91e8774918"),
-    "siblings_closure": ("9f8e8bc01762145b", "7944d5b8f110d72c"),
+    "siblings_closure": ("894fdb37014317f0", "225065c42b44907d"),
 }
 
 

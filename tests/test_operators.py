@@ -120,12 +120,27 @@ def test_coalesce_retraction_splits_merged_interval():
     c = CoalesceStage(1)
     c.on_tuple(0, sgt("a", "b", "l", 0, 10, origin=1), 0)
     c.on_tuple(0, sgt("a", "b", "l", 8, 20, origin=2), 8)
-    out = c.on_tuple(0, sgt("a", "b", "l", 0, 10, origin=1, sign=-1), 9)
-    assert [(t.sign, t.ts, t.exp) for t in out] == [(1, 8, 20)]
-    # the key's last contribution gone: only now is the line retracted
     out = c.on_tuple(0, sgt("a", "b", "l", 8, 20, origin=2, sign=-1), 9)
-    assert [(t.sign, t.ts, t.exp) for t in out] == [(-1, 8, 20)]
+    assert [(t.sign, t.ts, t.exp) for t in out] == [(1, 0, 10)]
+    # the key's last contribution gone: only now is the line retracted
+    out = c.on_tuple(0, sgt("a", "b", "l", 0, 10, origin=1, sign=-1), 9)
+    assert [(t.sign, t.ts, t.exp) for t in out] == [(-1, 0, 10)]
     assert c.contribs == {} and c.advertised == {}
+
+
+def test_coalesce_keeps_the_start_of_a_live_run():
+    """A key live throughout keeps its line's start when the earliest
+    contribution is gone, by expiry or by deletion: the next change
+    replaces the line with one that starts where the run did."""
+    c = CoalesceStage(1)
+    c.on_tuple(0, sgt("a", "b", "l", 0, 10, origin=1), 0)
+    c.on_tuple(0, sgt("a", "b", "l", 5, 20, origin=2), 5)
+    c.on_watermark(10)
+    out = c.on_tuple(0, sgt("a", "b", "l", 12, 25, origin=3), 12)
+    assert [(t.sign, t.ts, t.exp) for t in out] == [(1, 0, 25)]
+    # a deletion of every contribution that started the run changes nothing
+    assert c.on_tuple(0, sgt("a", "b", "l", 5, 20, origin=2, sign=-1), 13) == []
+    assert c.advertised[("a", "b", "l")][1] == Interval(0, 25)
 
 
 @pytest.mark.parametrize("start, end", [(10, 20), (31, 41), (0, 1)])
@@ -138,7 +153,7 @@ def test_coalesce_cancels_a_retraction_by_key_and_origin_alone(start, end):
     # same origin under another key cancels nothing
     assert c.on_tuple(0, sgt("a", "c", "l", start, end, origin=1, sign=-1), 15) == []
     out = c.on_tuple(0, sgt("a", "b", "l", start, end, origin=1, sign=-1), 15)
-    assert [(t.sign, t.ts, t.exp) for t in out] == [(1, 12, 22)]
+    assert [(t.sign, t.ts, t.exp) for t in out] == []
     assert list(c.contribs[("a", "b", "l")]) == [2]
 
 
@@ -191,15 +206,16 @@ def test_coalesce_payload_is_the_widest_contributors():
     assert feed(1, 12, 4, "s") == [(1, 0, 12, ("s",))]
 
 
-def reference_fold(contribs):
+def reference_fold(contribs, run_start=math.inf):
     """The one advertisement of a key, written from its live
-    contributions alone: their hull, with the payload of the widest
-    (largest end, then largest start, then first stored); None when
-    there are none."""
+    contributions and the start of the key's current run alone: their
+    hull, from the run's start, with the payload of the widest (largest
+    end, then largest start, then first stored); None when there are
+    none."""
     if not contribs:
         return None
     entries = list(contribs.values())
-    start = min(iv.start for iv, _ in entries)
+    start = min(run_start, *(iv.start for iv, _ in entries))
     widest = max(range(len(entries)),
                  key=lambda i: (entries[i][0].end, entries[i][0].start, -i))
     iv, payload = entries[widest]
@@ -214,9 +230,10 @@ def test_coalesce_stage_net_matches_batch_merge(steps):
     """Contributions of up to three origins, fed one by one under the
     stage contract (now never decreases, every end <= now is purged
     before the next input, and a positive holds now), net out after
-    every step to the one-shot fold of the live contributions."""
+    every step to the one-shot fold of the live contributions, from the
+    start of the key's run: the earliest start since it last had none."""
     c = CoalesceStage(1)
-    contribs, live = {}, {}
+    contribs, live, run_start = {}, {}, math.inf
     now = 0
     for i, (advance, back, ahead, origin) in enumerate(steps):
         if advance:
@@ -224,23 +241,27 @@ def test_coalesce_stage_net_matches_batch_merge(steps):
             c.on_watermark(now)
             contribs = {o: e for o, e in contribs.items() if e[0].end > now}
             live = {o: t for o, t in live.items() if t.exp > now}
+            if not contribs:
+                run_start = math.inf
         iv, payload = Interval(max(0, now - back), now + ahead), (f"p{i}",)
         contribs[origin] = (iv, payload)
+        run_start = min(run_start, iv.start)
         for o in c.on_tuple(0, StreamTuple("a", "b", "l", iv, payload, 1, origin=origin), now):
             if o.sign > 0:
                 live[o.origin] = o
             else:
                 live.pop(o.origin)
-        assert [(t.interval, t.payload) for t in live.values()] == [reference_fold(contribs)]
+        assert [(t.interval, t.payload) for t in live.values()] == [
+            reference_fold(contribs, run_start)]
 
 
 def reference_republish(contribs, advertised):
     """The diff of one key, written from reference_fold alone: nothing
     when the fold is the advertisement, a retraction of the
     advertisement when there is no fold, else the fold, which replaces
-    any advertisement.  Returns the emissions as (sign, interval,
-    payload) and the new advertisement."""
-    want = reference_fold(contribs)
+    any advertisement and starts no later than it.  Returns the
+    emissions as (sign, interval, payload) and the new advertisement."""
+    want = reference_fold(contribs, math.inf if advertised is None else advertised[0].start)
     if want == advertised:
         return [], advertised
     return [(-1, *advertised) if want is None else (1, *want)], want
