@@ -138,7 +138,7 @@ def test_coalesce_keeps_the_start_of_a_live_run():
     c.on_watermark(10)
     out = c.on_tuple(0, sgt("a", "b", "l", 12, 25, origin=3), 12)
     assert [(t.sign, t.ts, t.exp) for t in out] == [(1, 0, 25)]
-    # a deletion of every contribution that started the run changes nothing
+    # deleting an earlier contribution keeps the start too: nothing changes
     assert c.on_tuple(0, sgt("a", "b", "l", 5, 20, origin=2, sign=-1), 13) == []
     assert c.advertised[("a", "b", "l")][1] == Interval(0, 25)
 
