@@ -192,22 +192,14 @@ class CoalesceStage:
         # Expired state disappears without emissions; only keys that own
         # an expired entry are re-filtered.
         for key in set(self.expiry.expired(w)):
-            per_key = self.contribs.get(key)
-            if per_key is not None:
-                if len(per_key) == 1:
-                    # the common lone contribution is checked in place
-                    ((iv, _),) = per_key.values()
-                    if iv.end <= w:
-                        del self.contribs[key]
-                else:
-                    live = {o: e for o, e in per_key.items() if e[0].end > w}
-                    if live:
-                        self.contribs[key] = live
-                    else:
-                        del self.contribs[key]
             advert = self.advertised.get(key)
-            if advert is not None and advert[1].end <= w:
-                del self.advertised[key]
+            if advert is None:
+                continue
+            per_key = self.contribs[key]
+            if advert[1].end <= w:  # the hull ends with the last contribution
+                del self.contribs[key], self.advertised[key]
+            elif len(per_key) > 1:  # a lone contribution ends with the hull
+                self.contribs[key] = {o: e for o, e in per_key.items() if e[0].end > w}
 
 
 def pos_value(tuples: tuple[StreamTuple, ...], pos: Pos):
