@@ -564,12 +564,11 @@ MIXED_SLIDE_PLAN = ("union[D](path[a+ -> P](wscan[a size=10 slide=5]),"
 
 
 def test_expiry_never_retracts(monkeypatch):
-    """Expiry drops state silently; only explicit deletions retract.
-    At window 10, slide 3, where
-    ends fall between slide boundaries, and in a plan that mixes slides,
-    no retraction in the replayed log names a result that had ended by
-    the instant it was emitted, or one the log never wrote, and no two
-    net results of one key overlap."""
+    """Expiry drops state silently; only explicit deletions retract.  At
+    window 10, slide 3, where ends fall between slide boundaries, and in
+    a plan that mixes slides, no retraction in the replayed log names a
+    result that had ended by the instant it was emitted, or one the log
+    never wrote, and no two net results of one key overlap."""
     nows = _record_nows(monkeypatch)
     events = _fuzz_events(seed=7, ops=3000)
     plans = {name: to_plan(parse_query(text, window=10, slide=3))
