@@ -1,9 +1,9 @@
 """Logical plan algebra for windowed graph queries.
 
-A plan is an immutable tree built from six node kinds:
+A plan is an immutable tree built from five node kinds:
 
-    Wscan    leaf scan of one input edge label, optionally windowed
-    Window   assigns window expiry over filters and unions of unwindowed scans
+    Wscan    leaf scan of one input edge label; its window, if any, stamps
+             each edge's validity interval as the edge enters
     Filter   predicate over the distinguished attributes (src, trg, label)
     Union    merge of same-schema subplans under a new label
     Pattern  multi-way join with positional equality condition
@@ -13,10 +13,10 @@ Every node carries the label its output tuples will wear (plan_label).
 Plans render to a deterministic one-line text form and parse back to a
 structurally equal tree, which the CLI and the plan-space tools rely on.
 
-Rewrites implement the classic commutations (window past filter/union,
-alternation-to-union, concatenation-to-join) plus the grouping and
-inlining moves between "join inside the loop" and "labels inside the
-regex" shapes; enumerate_plans closes a plan under single rewrite steps.
+Rewrites turn an alternation of labels into a union and a concatenation
+into a chain join, and move between "join inside the loop" and "labels
+inside the regex" shapes by grouping and inlining; enumerate_plans
+closes a plan under single rewrite steps.
 """
 
 from __future__ import annotations
@@ -84,13 +84,6 @@ class Wscan:
 
 
 @dataclass(frozen=True)
-class Window:
-    child: "PlanNode"
-    size: int
-    slide: int = 1
-
-
-@dataclass(frozen=True)
 class Filter:
     child: "PlanNode"
     predicate: tuple[Comparison, ...]
@@ -116,14 +109,12 @@ class Path:
     label: str
 
 
-PlanNode = Wscan | Window | Filter | Union | Pattern | Path
+PlanNode = Wscan | Filter | Union | Pattern | Path
 
 
 def plan_label(node: PlanNode) -> str:
     """Label worn by the node's output tuples."""
-    if isinstance(node, (Wscan,)):
-        return node.label
-    if isinstance(node, (Window, Filter)):
+    if isinstance(node, Filter):
         return plan_label(node.child)
     return node.label
 
@@ -131,7 +122,7 @@ def plan_label(node: PlanNode) -> str:
 def children_of(node: PlanNode) -> tuple[PlanNode, ...]:
     if isinstance(node, Wscan):
         return ()
-    if isinstance(node, (Window, Filter)):
+    if isinstance(node, Filter):
         return (node.child,)
     return node.children
 
@@ -146,7 +137,7 @@ def walk(node: PlanNode):
 def _with_children(node: PlanNode, kids: tuple[PlanNode, ...]) -> PlanNode:
     if isinstance(node, Wscan):
         return node
-    if isinstance(node, (Window, Filter)):
+    if isinstance(node, Filter):
         return dataclasses.replace(node, child=kids[0])
     return dataclasses.replace(node, children=kids)
 
@@ -183,7 +174,7 @@ def validate_plan(node: PlanNode) -> None:
             for a in names:
                 if a not in ("src", "trg", "label"):
                     raise PlanError(f"filter references unknown attribute {a!r}")
-    elif isinstance(node, Window) or (isinstance(node, Wscan) and node.size is not None):
+    elif isinstance(node, Wscan) and node.size is not None:
         if node.size < node.slide or node.slide < 1:
             raise PlanError("window size must be >= slide >= 1")
 
@@ -208,8 +199,6 @@ def _header(node: PlanNode) -> str:
         if node.size is None:
             return f"wscan[{node.label}]"
         return f"wscan[{node.label} size={node.size} slide={node.slide}]"
-    if isinstance(node, Window):
-        return f"window[size={node.size} slide={node.slide}]"
     if isinstance(node, Filter):
         pred = " & ".join(_render_cmp(c) for c in node.predicate)
         return f"filter[{pred}]"
@@ -332,13 +321,6 @@ def _parse_predicate(body: str) -> tuple[Comparison, ...]:
     return tuple(out)
 
 
-def _parse_window_args(body: str) -> tuple[int, int]:
-    m = re.fullmatch(r"\s*size=(\d+)\s+slide=(\d+)\s*", body)
-    if not m:
-        raise PlanError(f"bad window arguments {body!r}")
-    return int(m.group(1)), int(m.group(2))
-
-
 def parse_plan(text: str) -> PlanNode:
     sc = _Scanner(text)
     node = _parse_node(sc)
@@ -370,11 +352,6 @@ def _parse_node(sc: _Scanner) -> PlanNode:
         if m.group(2) is None:
             return Wscan(m.group(1))
         return Wscan(m.group(1), int(m.group(2)), int(m.group(3)))
-    if kind == "window":
-        size, slide = _parse_window_args(body)
-        if len(kids) != 1:
-            raise PlanError("window takes exactly one input")
-        return Window(kids[0], size, slide)
     if kind == "filter":
         if len(kids) != 1:
             raise PlanError("filter takes exactly one input")
@@ -403,46 +380,6 @@ def _parse_node(sc: _Scanner) -> PlanNode:
 def _rewrite_everywhere(node: PlanNode, fn) -> PlanNode:
     kids = tuple(_rewrite_everywhere(c, fn) for c in children_of(node))
     return fn(_with_children(node, kids))
-
-
-def rewrite_window_filter(node: PlanNode, direction: str = "down") -> PlanNode:
-    """Commute windowing with filters and unions, pushing it toward scans
-    (direction="down") or pulling it toward the root (direction="up")."""
-    if direction == "down":
-        return _rewrite_everywhere(node, _push_window)
-    if direction == "up":
-        return _rewrite_everywhere(node, _pull_window)
-    raise PlanError(f"bad direction {direction!r}")
-
-
-def _push_window(node: PlanNode) -> PlanNode:
-    if not isinstance(node, Window):
-        return node
-    c = node.child
-    if isinstance(c, Filter):
-        return Filter(_push_window(Window(c.child, node.size, node.slide)), c.predicate)
-    if isinstance(c, Union):
-        kids = tuple(_push_window(Window(k, node.size, node.slide)) for k in c.children)
-        return Union(kids, c.label)
-    if isinstance(c, Wscan) and c.size is None:
-        return Wscan(c.label, node.size, node.slide)
-    return node
-
-
-def _pull_window(node: PlanNode) -> PlanNode:
-    if isinstance(node, Wscan) and node.size is not None:
-        return Window(Wscan(node.label), node.size, node.slide)
-    if isinstance(node, Filter) and isinstance(node.child, Window):
-        w = node.child
-        return Window(Filter(w.child, node.predicate), w.size, w.slide)
-    if isinstance(node, Union) and node.children:
-        if all(isinstance(k, Window) for k in node.children):
-            sizes = {(k.size, k.slide) for k in node.children}
-            if len(sizes) == 1:
-                size, slide = next(iter(sizes))
-                inner = Union(tuple(k.child for k in node.children), node.label)
-                return Window(inner, size, slide)
-    return node
 
 
 def rewrite_path_alternation(node: PlanNode) -> PlanNode:
@@ -512,7 +449,7 @@ def _tmp_counter(node: PlanNode):
     used = {
         int(m.group(1))
         for n in walk(node)
-        if not isinstance(n, (Wscan, Window, Filter))
+        if not isinstance(n, (Wscan, Filter))
         for m in [re.fullmatch(re.escape(TMP_PREFIX) + r"(\d+)", plan_label(n))]
         if m
     }
@@ -650,13 +587,6 @@ def _substitute_symbol(rx, label, replacement):
 
 
 def _local_variants(node: PlanNode):
-    if isinstance(node, Window):
-        pushed = _push_window(node)
-        if pushed != node:
-            yield pushed
-    pulled = _pull_window(node)
-    if pulled != node:
-        yield pulled
     if isinstance(node, Path):
         alt = _alt_to_union(node)
         if alt != node:

@@ -28,10 +28,9 @@ window, not with the one of the insertion it cancels.
 Set semantics are restored once, by the one Coalesce compiled directly
 below the plan's root filters.  Below it, stages take bags: a Path or a
 join re-emits a result under the same origin with a new interval or
-payload, and one key may be live under several origins.  A Window
-compiles into the scans beneath it, which stamp its intervals, and
-leaves no stage; an unwindowed scan outside any Window stamps intervals
-that never end.  Scans are stateless.  The sink keeps only the emission
+payload, and one key may be live under several origins.  Each scan
+stamps its own window's intervals as edges enter; an unwindowed scan
+stamps intervals that never end.  Scans are stateless.  The sink keeps only the emission
 log, which is key-addressed (see operators.py): the root Coalesce's
 advertisements are the live set.
 
@@ -166,8 +165,7 @@ class Pipeline:
         self.nodes: list[PipeNode] = []
         self._last_watermark = float("-inf")
         windows = [(n.size, n.slide) for n in algebra.walk(plan)
-                   if isinstance(n, algebra.Window)
-                   or (isinstance(n, algebra.Wscan) and n.size is not None)]
+                   if isinstance(n, algebra.Wscan) and n.size is not None]
         # the watermark step: every finite end is k * slide + size of
         # some window, or a min or max of such ends, so a multiple of it
         self.slide = math.gcd(*(v for w in windows for v in w)) or 1
@@ -189,29 +187,16 @@ class Pipeline:
         self.nodes.append(node)
         return node
 
-    def _build(self, node, parent: PipeNode, port: int, window=None) -> None:
-        """Compile ``node`` below ``parent``.  ``window`` is the (size,
-        slide) of an enclosing Window: it compiles into the scans beneath
-        it and leaves no stage of its own."""
+    def _build(self, node, parent: PipeNode, port: int) -> None:
+        """Compile ``node`` below ``parent``."""
         lbl = algebra.plan_label(node)
-        if window is not None and not (
-            isinstance(node, (algebra.Filter, algebra.Union))
-            or (isinstance(node, algebra.Wscan) and node.size is None)
-        ):
-            raise CompileError(
-                "a window covers only filters and unions of unwindowed scans, "
-                f"not {algebra.render_plan(node)}"
-            )
         if isinstance(node, algebra.Wscan):
-            if window is None:
-                window = (math.inf, 1) if node.size is None else (node.size, node.slide)
+            window = (math.inf, 1) if node.size is None else (node.size, node.slide)
             entry = self._add(WindowScan(*window), parent, port, f"wscan {lbl}")
             self.sources.setdefault(node.label, []).append(entry)
-        elif isinstance(node, algebra.Window):
-            self._build(node.child, parent, port, (node.size, node.slide))
         elif isinstance(node, algebra.Filter):
             entry = self._add(FilterStage(node.predicate), parent, port, f"filter {lbl}")
-            self._build(node.child, entry, 0, window)
+            self._build(node.child, entry, 0)
         elif isinstance(node, (algebra.Union, algebra.Pattern, algebra.Path)):
             kids = node.children
             if isinstance(node, algebra.Union):
@@ -225,7 +210,7 @@ class Pipeline:
                 kind = "path"
             entry = self._add(stage, parent, port, f"{kind} {lbl}")
             for i, kid in enumerate(kids):
-                self._build(kid, entry, i, window)
+                self._build(kid, entry, i)
         else:
             raise CompileError(f"cannot compile plan node {type(node).__name__}")
 

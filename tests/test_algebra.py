@@ -13,7 +13,6 @@ from streamgraph.algebra import (
     PlanError,
     Pos,
     Union,
-    Window,
     Wscan,
     enumerate_plans,
     parse_plan,
@@ -21,7 +20,6 @@ from streamgraph.algebra import (
     render_plan,
     rewrite_path_alternation,
     rewrite_path_concatenation,
-    rewrite_window_filter,
     walk,
 )
 from streamgraph.automata import parse_regex
@@ -44,7 +42,7 @@ Q4_TEXT = "d(x, y) <- a(x, m), b(m, n), c(n, y)\nAnswer(x, y) <- d+(x, y)"
 def test_plan_label():
     assert plan_label(scan("a")) == "a"
     assert plan_label(Filter(scan("a"), (Comparison("src", "!=", ("attr", "trg")),))) == "a"
-    assert plan_label(Window(Wscan("a"), 5, 1)) == "a"
+    assert plan_label(Wscan("a")) == "a"
     assert plan_label(Union((scan("a"),), "D")) == "D"
 
 
@@ -52,7 +50,7 @@ def test_render_parse_round_trip_fixed():
     texts = [
         "wscan[a size=24 slide=1]",
         "wscan[a]",
-        "window[size=24 slide=2](wscan[a])",
+        "wscan[a size=24 slide=2]",
         'filter[src != trg & label = "likes"](wscan[a size=5 slide=1])',
         "union[D](wscan[a size=5 slide=1], wscan[b size=5 slide=1])",
         "pattern[trg1=src2 -> (src1, trg2) D](wscan[a size=5 slide=1], wscan[b size=5 slide=1])",
@@ -70,7 +68,7 @@ def test_parse_plan_rejects_malformed():
         "union[D]",
         "pattern[trg1=src9 -> (src1, trg1) D](wscan[a size=5 slide=1])",
         "path[z+ -> D](wscan[a size=5 slide=1])",
-        "window[size=1 slide=5](wscan[a])",
+        "window[size=24 slide=2](wscan[a])",
         "wscan[a size=0 slide=0]",
         "wscan[a size=2 slide=5]",
         "filter[src ~ trg](wscan[a size=5 slide=1])",
@@ -78,24 +76,6 @@ def test_parse_plan_rejects_malformed():
     ]:
         with pytest.raises(PlanError):
             parse_plan(bad)
-
-
-def test_window_filter_push_down_and_pull_up():
-    pred = (Comparison("label", "=", ("const", "likes")),)
-    hoisted = Window(Filter(Wscan("a"), pred), 24, 1)
-    pushed = rewrite_window_filter(hoisted, "down")
-    assert pushed == Filter(Wscan("a", 24, 1), pred)
-    assert rewrite_window_filter(pushed, "up") == hoisted
-
-    grouped = Window(Union((Wscan("a"), Wscan("b")), "D"), 10, 2)
-    split = rewrite_window_filter(grouped, "down")
-    assert split == Union((Wscan("a", 10, 2), Wscan("b", 10, 2)), "D")
-    assert rewrite_window_filter(split, "up") == grouped
-
-
-def test_window_rewrite_fixpoint_on_inapplicable_plan():
-    plan = chain([scan("a"), scan("b")], "D")
-    assert rewrite_window_filter(plan, "down") == plan
 
 
 def test_alternation_rewrite():
@@ -163,8 +143,8 @@ label_st = st.sampled_from(["a", "b", "c", "RL", "$tmp1"])
 
 
 def plans(depth):
-    leaf = st.builds(Wscan, label_st, st.sampled_from([None, 8, 24]), st.just(1))
-    leaf = leaf.map(lambda w: Wscan(w.label) if w.size is None else w)
+    windows = st.sampled_from([(None, 1), (8, 1), (16, 2), (24, 1)])
+    leaf = st.builds(lambda label, w: Wscan(label, *w), label_st, windows)
     if depth == 0:
         return leaf
     sub = plans(depth - 1)
@@ -181,7 +161,6 @@ def plans(depth):
 
     return st.one_of(
         leaf,
-        st.builds(Window, sub, st.just(16), st.just(2)),
         st.builds(
             Filter,
             sub,
@@ -222,10 +201,5 @@ def test_enumerate_contains_input_and_dedups(plan, budget):
 @settings(max_examples=60, deadline=None)
 @given(plans(2))
 def test_rewrites_preserve_output_label(plan):
-    for rewrite in (
-        lambda p: rewrite_window_filter(p, "down"),
-        lambda p: rewrite_window_filter(p, "up"),
-        rewrite_path_alternation,
-        rewrite_path_concatenation,
-    ):
+    for rewrite in (rewrite_path_alternation, rewrite_path_concatenation):
         assert plan_label(rewrite(plan)) == plan_label(plan)

@@ -114,7 +114,7 @@ def test_plan_rewrites_enumerates_the_chain_family(tmp_path, capsys):
     qf = fixture(tmp_path, "q4.sgq", Q4_QUERY)
     assert cli.main(["plan", "--query", qf, "--rewrites", "3"]) == 0
     out = capsys.readouterr().out
-    assert "29 plans within 3 rewrites:" in out
+    assert "7 plans within 3 rewrites:" in out
     scans = "wscan[a size=10 slide=5], wscan[b size=10 slide=5], wscan[c size=10 slide=5]"
     assert f"path[(a.b.c)+ -> DP]({scans})" in out
     assert "path[(a.$tmp1)+ -> DP](wscan[a size=10 slide=5], pattern[" in out

@@ -12,11 +12,10 @@ from hypothesis import example, given, strategies as st
 
 from streamgraph import algebra
 from streamgraph.model import EdgeEvent, Interval, StreamTuple
-from streamgraph.operators import CoalesceStage
+from streamgraph.operators import CoalesceStage, eval_predicate
 from streamgraph.query import parse_query, to_plan
 from streamgraph.runtime import (
     GC_GEN0_THRESHOLD,
-    CompileError,
     Metrics,
     StreamOrderError,
     compile_plan,
@@ -65,9 +64,8 @@ def notify_pipeline(**kw):
 
 @pytest.mark.parametrize("plan, window, slide", [
     (algebra.Wscan("a", 10, 2), (10, 2), 2),
-    (algebra.Window(algebra.Wscan("a"), 10, 2), (10, 2), 2),
     (algebra.Wscan("a"), (math.inf, 1), 1),
-], ids=["windowed", "window", "raw"])
+], ids=["windowed", "raw"])
 def test_single_windowed_scan_compiles_to_scan_coalesce_sink(plan, window, slide):
     pipe = compile_plan(plan)
     assert [n.label for n in pipe.nodes] == ["sink", "coalesce a", "wscan a"]
@@ -80,10 +78,9 @@ def test_single_windowed_scan_compiles_to_scan_coalesce_sink(plan, window, slide
 
 def test_window_compiles_into_the_scan_beneath_its_filter():
     pred = (algebra.Comparison("src", "=", ("const", "x")),)
-    plan = algebra.Window(algebra.Filter(algebra.Wscan("a"), pred), 10, 2)
-    pipe = compile_plan(plan)
+    pipe = compile_plan(algebra.Filter(algebra.Wscan("a", 10, 2), pred))
     assert [n.label for n in pipe.nodes] == [
-        "sink", "coalesce a", "filter a", "wscan a",
+        "sink", "filter a", "coalesce a", "wscan a",
     ]
     scan = pipe.nodes[3].stage
     assert (scan.size, scan.slide) == (10, 2)
@@ -93,20 +90,10 @@ def test_window_over_a_union_keeps_each_inputs_window():
     """The scans under the union stamp the window themselves, so a key
     that arrives again on another input stays live for the later
     window."""
-    union = algebra.Union((algebra.Wscan("a"), algebra.Wscan("b")), "D")
-    pipe = compile_plan(algebra.Window(union, 10, 2))
+    union = algebra.Union((algebra.Wscan("a", 10, 2), algebra.Wscan("b", 10, 2)), "D")
+    pipe = compile_plan(union)
     run_stream(pipe, [EdgeEvent("x", "y", "a", 0, 1, 0), EdgeEvent("x", "y", "b", 5, 1, 1)])
     assert [val(t) for t in pipe.sink.results()] == [("x", "y", "D", 0, 14)]
-
-
-@pytest.mark.parametrize("child", [
-    algebra.Pattern((algebra.Wscan("a"),), algebra.JoinCondition(
-        (), algebra.Pos(0, "src"), algebra.Pos(0, "trg")), "P"),
-    algebra.Wscan("a", 10, 2),
-], ids=["pattern", "windowed-scan"])
-def test_window_over_anything_but_filters_unions_and_raw_scans_is_rejected(child):
-    with pytest.raises(CompileError):
-        compile_plan(algebra.Window(child, 10, 2))
 
 
 def test_notify_plan_compiles_one_coalesce_at_its_root():
@@ -131,8 +118,7 @@ def _catalog_variants():
         for variant in sorted(algebra.enumerate_plans(plan, 2), key=algebra.render_plan):
             yield name, variant
     not_q = (algebra.Comparison("src", "!=", ("const", "q")),)
-    hoisted = algebra.Window(algebra.Filter(algebra.Wscan("a"), not_q), 10, 2)
-    yield "root filter", algebra.rewrite_window_filter(hoisted, "down")
+    yield "root filter", algebra.Filter(algebra.Wscan("a", 10, 2), not_q)
 
 
 def test_every_plan_compiles_one_coalesce_below_its_root_filters():
@@ -155,7 +141,7 @@ def test_every_plan_compiles_one_coalesce_below_its_root_filters():
         assert pipe.sink.root is co.stage
         assert [f.predicate for f in pipe.sink.filters] == above
         seen += 1
-    assert seen > 2 * len(TABLE_QUERIES)
+    assert seen > len(TABLE_QUERIES) + 1
 
 
 @pytest.mark.parametrize("a, b, step", [
@@ -170,7 +156,7 @@ def test_slide_is_the_gcd_of_every_window_size_and_slide(a, b, step):
     multiple of its own slide; the metrics count the smallest slide."""
     plan = algebra.Pattern(
         children=(
-            algebra.Window(algebra.Wscan("a"), *a),
+            algebra.Wscan("a", *a),
             algebra.Wscan("b", *b),
         ),
         condition=algebra.JoinCondition(
@@ -322,16 +308,12 @@ NOT_Y = (algebra.Comparison("trg", "!=", ("const", "y")),)
 @pytest.mark.parametrize("predicates", [(NOT_Q,), (NOT_Q, NOT_Y)],
                          ids=["filter", "filter-chain"])
 def test_root_filter_snapshot_equals_its_hoisted_form(predicates):
-    """Pushing a window below its filters leaves the filters at the
-    root, above the Coalesce whose table the sink reads: snapshots
-    apply their predicates and match the hoisted form's at every
-    instant, while the predicates drop keys the table holds."""
-    hoisted = algebra.Wscan("a")
+    """A plan's root filters shape its live set: at every instant its
+    snapshot equals the unfiltered plan's with the predicates applied
+    on top, and the predicates drop keys that plan holds."""
+    unfiltered = plan = algebra.Wscan("a", 10, 2)
     for pred in predicates:
-        hoisted = algebra.Filter(hoisted, pred)
-    hoisted = algebra.Window(hoisted, 10, 2)
-    root_filter = algebra.rewrite_window_filter(hoisted, "down")
-    assert isinstance(root_filter, algebra.Filter)
+        plan = algebra.Filter(plan, pred)
     verts = ["q", "x", "y", "z"]
     stream, live = [], []
     for i in range(120):
@@ -343,15 +325,16 @@ def test_root_filter_snapshot_equals_its_hoisted_form(predicates):
             stream.append(EdgeEvent(verts[i % 4], verts[i % 3], "a", i, 1, i))
     instants = list(range(120))
     snaps = []
-    for plan in (root_filter, hoisted, algebra.Window(algebra.Wscan("a"), 10, 2)):
-        pipe = compile_plan(plan)
+    for p in (plan, unfiltered):
+        pipe = compile_plan(p)
         got = []
         run_stream(pipe, stream, instants,
                    on_instant=lambda t: got.append(pipe.sink.snapshot(t)))
         snaps.append(got)
-    assert snaps[0] == snaps[1]
-    assert any(snaps[1]) and snaps[1] != snaps[2]
-    assert all(f <= u for f, u in zip(snaps[1], snaps[2]))
+    kept = lambda key: all(eval_predicate(StreamTuple(*key, Interval(0, 1)), pred)
+                           for pred in predicates)
+    assert snaps[0] == [{k for k in snap if kept(k)} for snap in snaps[1]]
+    assert any(snaps[0]) and snaps[0] != snaps[1]
 
 
 # -------------------------------------------------------------------- driver
@@ -466,26 +449,26 @@ def test_deletion_retracts_through_a_windowed_scan():
 
 
 def test_deletion_retracts_through_a_raw_scan_and_window():
-    plan = algebra.Window(algebra.Wscan("a"), 10, 2)
-    pipe = compile_plan(plan)
-    run_stream(pipe, [
-        EdgeEvent("x", "y", "a", 3, 1, 0),
-        EdgeEvent("x", "y", "a", 9, -1, 1, ref=0),
-    ])
-    assert pipe.sink.results() == []
+    for plan in (algebra.Wscan("a"), algebra.Wscan("a", 10, 2)):
+        pipe = compile_plan(plan)
+        run_stream(pipe, [
+            EdgeEvent("x", "y", "a", 3, 1, 0),
+            EdgeEvent("x", "y", "a", 9, -1, 1, ref=0),
+        ])
+        assert pipe.sink.results() == []
 
 
-@pytest.mark.parametrize("plan", [
-    algebra.Wscan("a", 10, 2),
-    algebra.Window(algebra.Wscan("a"), 10, 2),
+@pytest.mark.parametrize("plan, end", [
+    (algebra.Wscan("a", 10, 2), 12),
+    (algebra.Wscan("a"), math.inf),
 ], ids=["windowed", "raw"])
-def test_unknown_deletion_is_a_no_op(plan):
+def test_unknown_deletion_is_a_no_op(plan, end):
     pipe = compile_plan(plan)
     run_stream(pipe, [
         EdgeEvent("x", "y", "a", 3, 1, 0),
         EdgeEvent("q", "r", "a", 4, -1, 1, ref=99),
     ])
-    assert [val(t) for t in pipe.sink.results()] == [("x", "y", "a", 3, 12)]
+    assert [val(t) for t in pipe.sink.results()] == [("x", "y", "a", 3, end)]
 
 
 def test_slide_count_covers_the_stream_span():
