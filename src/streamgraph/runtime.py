@@ -26,11 +26,11 @@ stage; it holds ``now`` too, but a scan stamps a deletion with its own
 window, not with the one of the insertion it cancels.
 
 Set semantics are restored once, by the one Coalesce compiled directly
-below the plan's root filters.  Below it, stages take bags: a Path or a
-join re-emits a result under the same origin with a new interval or
-payload, and one key may be live under several origins.  Each scan
-stamps its own window's intervals as edges enter; an unwindowed scan
-stamps intervals that never end.  Scans are stateless.  The sink keeps only the emission
+below the sink.  Below it, stages take bags: a Path or a join re-emits
+a result under the same origin with a new interval or payload, and one
+key may be live under several origins.  Each scan stamps its own
+window's intervals as edges enter; an unwindowed scan stamps intervals
+that never end.  Scans are stateless.  The sink keeps only the emission
 log, which is key-addressed (see operators.py): the root Coalesce's
 advertisements are the live set.
 
@@ -70,7 +70,6 @@ from streamgraph.operators import (
     PatternStage,
     UnionStage,
     WindowScan,
-    eval_predicate,
 )
 from streamgraph.pathop import PathStage
 
@@ -114,12 +113,11 @@ class PipeNode:
 
 class OutputSink:
     """Terminal stage: keeps the signed emission log.  Snapshots read the
-    live advertisements of the ``root`` Coalesce, through the root ``filters``."""
+    live advertisements of the ``root`` Coalesce."""
 
-    def __init__(self, root: CoalesceStage, filters: list[FilterStage]):
+    def __init__(self, root: CoalesceStage):
         self.log: list[StreamTuple] = []
         self.root = root
-        self.filters = filters
 
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
         self.log.append(t)
@@ -130,9 +128,7 @@ class OutputSink:
 
     def snapshot(self, t: int) -> set[tuple[str, str, str]]:
         return {key for key, (_origin, iv, _payload) in self.root.advertised.items()
-                if iv.contains(t)
-                and all(eval_predicate(StreamTuple(*key, iv), f.predicate)
-                        for f in self.filters)}
+                if iv.contains(t)}
 
     def results(self) -> list[StreamTuple]:
         """Net results in (ts, src, trg, label, exp) order.  Stable sorts
@@ -172,15 +168,13 @@ class Pipeline:
         # the unit of the metrics' slides and latencies
         self.min_slide = min((slide for _size, slide in windows), default=1)
         self._ids = itertools.count(1)  # stage ids, for origins
-        top = parent = self._add(None, None, 0, "sink")
-        node, lbl = plan, algebra.plan_label(plan)
-        while isinstance(node, algebra.Filter):  # the root filters
-            parent = self._add(FilterStage(node.predicate), parent, 0, f"filter {lbl}")
-            node = node.child
+        top = self._add(None, None, 0, "sink")
         root = CoalesceStage(next(self._ids))
-        filters = [n.stage for n in self.nodes[1:]]
-        self._build(node, self._add(root, parent, 0, f"coalesce {lbl}"), 0)
-        self.sink = top.stage = OutputSink(root, filters)
+        # a filter reads only the key, so root filters commute with the
+        # Coalesce and compile below it, like any other filter
+        coalesce = self._add(root, top, 0, f"coalesce {algebra.plan_label(plan)}")
+        self._build(plan, coalesce, 0)
+        self.sink = top.stage = OutputSink(root)
 
     def _add(self, stage, parent: PipeNode | None, port: int, label: str) -> PipeNode:
         node = PipeNode(stage, parent, port, label)

@@ -817,7 +817,7 @@ def test_set_semantics_hook_covers_all_runs():
     assert stage.contribs == {} and stage.advertised == {}
     # nor is it on the sink: a no-op line, and a negative that does not
     # name its origin's live line
-    sink = runtime.OutputSink(stage, [])
+    sink = runtime.OutputSink(stage)
     line = StreamTuple("x", "y", "R", Interval(0, 10), origin="o1")
     sink.on_tuple(0, line, 0)
     with pytest.raises(AssertionError, match="by itself"):
