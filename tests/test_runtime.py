@@ -135,6 +135,28 @@ def test_every_plan_compiles_one_coalesce_below_its_root_filters():
     assert seen > len(TABLE_QUERIES) + 1
 
 
+def _physical(pipe):
+    """The compiled pipeline as data: per node, its label, stage type,
+    scan window, filter predicate and parent's index."""
+    index = {id(n): i for i, n in enumerate(pipe.nodes)}
+    return tuple(
+        (n.label, type(n.stage).__name__,
+         (getattr(n.stage, "size", None), getattr(n.stage, "slide", None)),
+         getattr(n.stage, "predicate", None), index.get(id(n.parent)))
+        for n in pipe.nodes)
+
+
+def test_plan_enumeration_yields_no_physical_duplicates():
+    """Every rewrite changes what is compiled: the
+    ``enumerate_plans(..., 2)`` variants of each catalog shape compile
+    to pairwise different pipelines."""
+    for name, text in TABLE_QUERIES.items():
+        plan = to_plan(parse_query(text, window=40, slide=5))
+        variants = algebra.enumerate_plans(plan, 2)
+        compiled = {_physical(compile_plan(v)) for v in variants}
+        assert len(compiled) == len(variants), name
+
+
 @pytest.mark.parametrize("a, b, step", [
     ((10, 4), (12, 6), 2),
     ((12, 4), (18, 6), 2),
