@@ -143,7 +143,10 @@ def _with_children(node: PlanNode, kids: tuple[PlanNode, ...]) -> PlanNode:
 
 
 def validate_plan(node: PlanNode) -> None:
-    """Reject trees whose conditions or regexes reference missing inputs."""
+    """Reject trees whose conditions or regexes reference missing inputs,
+    and anything that is not a plan node."""
+    if not isinstance(node, PlanNode):
+        raise PlanError(f"not a plan node: {type(node).__name__}")
     kids = children_of(node)
     for c in kids:
         validate_plan(c)

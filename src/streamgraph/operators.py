@@ -9,7 +9,7 @@ makes deletion cascades and interval corrections purely mechanical:
     scan      origin = input event id; a deletion's is the id it undoes
     union     origin = (input port, child origin)
     join      origin = tuple of child origins
-    path      origin = (op, root, vertex, state)
+    path      origin = (op, root, vertex, state); at the root, fresh per run
     coalesce  origin = fresh per run of a key, kept across replacements
 
 The join takes negative tuples through the same code as positive ones:
@@ -22,13 +22,14 @@ Scans remember nothing.  A scan stamps every event, deletions included,
 with the window of the event's own timestamp, so a deletion's interval
 is not its insertion's; the stages above cancel it by origin.
 
-The coalesce stage restores set semantics once, at the plan's root: it
-tracks one interval per upstream origin and (src, trg, label) key, and
-advertises one tuple per key, the hull of the key's live contributions,
-which all hold the current instant.  A new hull or payload is advertised
-under the origin of the line it replaces, so a ``+`` in the written log
-replaces its key's live line and a ``-`` means the key is no longer an
-answer; a contribution that changes neither causes no downstream traffic.
+The coalesce stage restores set semantics at the plan's root, unless a
+root path does (see pathop.py): it tracks one interval per upstream
+origin and (src, trg, label) key, and advertises one tuple per key, the
+hull of the key's live contributions, which all hold the current
+instant.  A new hull or payload is advertised under the origin of the
+line it replaces, so a ``+`` in the written log replaces its key's live
+line and a ``-`` means the key is no longer an answer; a contribution
+that changes neither causes no downstream traffic.
 
 Expiry is handled directly: every stateful stage files each entry it
 stores in an ``ExpiryIndex`` under the entry's end, so a watermark pops
@@ -146,6 +147,11 @@ class CoalesceStage:
     def state_size(self) -> int:
         """Contribution entries plus advertised keys."""
         return sum(map(len, self.contribs.values())) + len(self.advertised)
+
+    def live_keys(self, t: int) -> set[tuple[str, str, str]]:
+        """Keys whose advertisement holds instant t."""
+        return {key for key, (_origin, iv, _payload) in self.advertised.items()
+                if iv.contains(t)}
 
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
         key = t.key

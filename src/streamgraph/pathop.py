@@ -33,6 +33,15 @@ with a new interval or payload: the held edge is deleted, with the
 repair above, and the new one inserted; a result retracted and regrown
 so is only re-emitted, as every consumer replaces by origin.
 
+A root Path with one accepting state (``at_root``) maps its accepting
+nodes one-to-one onto keys and writes the key-addressed log itself.  Each
+accepting node keeps ``line``, the last tuple written for its key, and
+writes a result only if interval or payload differ, from the earlier
+start, under the line's origin; a key draws a fresh origin only when a
+run of it starts.  A node regrown by a repair or a held-origin
+replacement continues its line; a result that does not come back
+retracts the line as written.
+
 Expiry is a deletion that does not regrow.  The driver purges at every
 instant an interval can end, before any input at that instant (see
 runtime.py), so nothing here meets a node or an edge that has ended.
@@ -76,7 +85,7 @@ class TreeNode:
 
     __slots__ = (
         "vertex", "state", "pair", "ts", "exp", "parent", "via", "children",
-        "payload",
+        "payload", "line",
     )
 
     def __init__(
@@ -93,6 +102,7 @@ class TreeNode:
         self.via = via
         self.children: set[Pair] = set()
         self.payload = payload
+        self.line: StreamTuple | None = None  # at the root: interval, payload, origin
 
 
 class SpanningTree:
@@ -107,13 +117,18 @@ class SpanningTree:
 class PathStage:
     """Signed-stream operator evaluating one automaton over its inputs."""
 
-    def __init__(self, dfa: Dfa, label: str, op_id: int = 0, payload: str = "derived"):
+    def __init__(self, dfa: Dfa, label: str, op_id: int = 0,
+                 payload: str = "derived", at_root: bool = False):
         if payload not in ("derived", "expanded"):
             raise ValueError(f"unknown payload mode {payload!r}")
+        if at_root and len(dfa.accepting) != 1:
+            raise ValueError("a root path needs exactly one accepting state")
         self.dfa = dfa
         self.label = label
         self.op_id = op_id
         self.payload_mode = payload
+        self.at_root = at_root
+        self.runs = 0  # fresh origins drawn at the root, one per run of a key
         self.out_trans: dict[int, list[tuple[str, int]]] = {}
         self.by_label: dict[str, list[tuple[int, int]]] = {}
         for (s, lab), t in sorted(dfa.transitions.items()):
@@ -175,6 +190,8 @@ class PathStage:
         return ((e.src, e.label, e.trg),) if self.payload_mode == "derived" else e.payload
 
     def _result(self, tree: SpanningTree, node: TreeNode, sign: int) -> StreamTuple:
+        if (line := node.line) is not None:  # at the root: retract the line as written
+            return StreamTuple(*line.key, line.interval, line.payload, -1, line.origin)
         return StreamTuple(
             tree.root,
             node.vertex,
@@ -188,7 +205,7 @@ class PathStage:
     # Insertion: relax the new edge from every tree node it can extend;
     # only nodes whose interval grows are expanded further.
 
-    def insert(self, t: StreamTuple) -> list[StreamTuple]:
+    def insert(self, t: StreamTuple, lines: dict | None = None) -> list[StreamTuple]:
         if t.label not in self.by_label:
             return []
         bucket = self.adj.setdefault(t.label, {}).setdefault(t.src, {})
@@ -201,7 +218,7 @@ class PathStage:
                 self.inverted.setdefault((t.src, s), {})[t.src] = tree.nodes[(t.src, s)]
             for root, node in list(self.inverted.get((t.src, s), {}).items()):
                 self._relax(self.trees[root], node, t, t2, changed)
-        return self._emit(changed)
+        return self._emit(changed, lines)
 
     def _relax(
         self, tree: SpanningTree, node: TreeNode, t: StreamTuple, t2: int,
@@ -262,14 +279,33 @@ class PathStage:
                 if bucket:
                     offers.append((bucket.values(), t2))
 
-    def _emit(self, changed: dict[TreeNode, SpanningTree]) -> list[StreamTuple]:
+    def _emit(self, changed: dict[TreeNode, SpanningTree], lines=None) -> list[StreamTuple]:
         """The result of each changed node that is accepting, once, with
-        the witness it has after the whole relaxation."""
+        the witness it has after the whole relaxation.  At the root, only
+        a changed line is written, and a node without a line continues
+        the one ``lines`` holds for its key, if any, taking it out."""
         accepting = self.dfa.accepting
-        return [
-            self._result(tree, node, 1) for node, tree in changed.items()
-            if node.state in accepting
-        ]
+        if not self.at_root:
+            return [self._result(tree, node, 1) for node, tree in changed.items()
+                    if node.state in accepting]
+        out = []
+        for node, tree in changed.items():
+            if node.state not in accepting:
+                continue
+            line = node.line or (lines or {}).pop((tree.root, node.vertex), None)
+            if line is None:  # a run of the key starts
+                self.runs += 1
+                iv, origin = Interval(node.ts, node.exp), ("p", self.op_id, self.runs)
+            else:
+                iv = Interval(min(node.ts, line.interval.start), node.exp)
+                origin = line.origin
+                if iv == line.interval and node.payload == line.payload:
+                    node.line = line
+                    continue
+            node.line = StreamTuple(tree.root, node.vertex, self.label, iv,
+                                    node.payload, 1, origin)
+            out.append(node.line)
+        return out
 
     # Deletion: non-tree edges only leave the adjacency; tree edges sever
     # a subtree that is then removed and regrown by relaxation.
@@ -311,8 +347,12 @@ class PathStage:
             self._relax(tree, node, e, t2, changed)
         for pair in sorted(removed):
             node = removed[pair]
-            if pair not in tree.nodes and node.state in self.dfa.accepting:
-                out.append(self._result(tree, node, -1))
+            if node.state in self.dfa.accepting:
+                back = tree.nodes.get(pair)
+                if back is None:
+                    out.append(self._result(tree, node, -1))
+                else:  # at the root, a regrown result continues its line
+                    back.line = node.line
         out += self._emit(changed)
         if len(tree.nodes) == 1:
             self._remove_tree(tree)
@@ -355,6 +395,11 @@ class PathStage:
 
     # Stage protocol.
 
+    def live_keys(self, t: int) -> set[tuple[str, str, str]]:
+        """Keys whose written line holds instant t; at the root only."""
+        return {line.key for tree in self.trees.values() for node in tree.nodes.values()
+                if (line := node.line) is not None and line.interval.contains(t)}
+
     def on_tuple(self, port: int, t: StreamTuple, now: int) -> list[StreamTuple]:
         if t.sign < 0:
             return self.delete(t)
@@ -362,6 +407,11 @@ class PathStage:
             return self.insert(t)
         # a positive under a held origin replaces that edge; a result it
         # retracts and regrows is only re-emitted, which replaces it
-        gone, grown = self.delete(t), self.insert(t)
+        gone = self.delete(t)
+        if self.at_root:  # a regrown result continues its retracted line
+            lines = {(r.src, r.trg): r for r in gone if r.sign < 0}
+            grown = self.insert(t, lines)
+            return [r for r in gone if r.sign > 0 or (r.src, r.trg) in lines] + grown
+        grown = self.insert(t)
         back = {r.origin for r in grown}
         return [r for r in gone if r.sign > 0 or r.origin not in back] + grown

@@ -25,14 +25,15 @@ replaces that origin's tuple.  A negative cancels by origin at every
 stage; it holds ``now`` too, but a scan stamps a deletion with its own
 window, not with the one of the insertion it cancels.
 
-Set semantics are restored once, by the one Coalesce compiled directly
-below the sink.  Below it, stages take bags: a Path or a join re-emits
-a result under the same origin with a new interval or payload, and one
-key may be live under several origins.  Each scan stamps its own
-window's intervals as edges enter; an unwindowed scan stamps intervals
-that never end.  Scans are stateless.  The sink keeps only the emission
-log, which is key-addressed (see operators.py): the root Coalesce's
-advertisements are the live set.
+Set semantics are restored once, by the one stage directly below the
+sink: a root Path whose automaton has one accepting state writes its
+results by key itself (see pathop.py); any other root gets a Coalesce.
+Below it, stages take bags: a Path or a join re-emits a result under
+the same origin with a new interval or payload, and one key may be live
+under several origins.  Each scan stamps its own window's intervals as
+edges enter; an unwindowed scan stamps intervals that never end.  Scans
+are stateless.  The sink keeps only the emission log, which is
+key-addressed (see operators.py): the root's live keys are the live set.
 
 ``run_stream`` keeps the cyclic collector off the live window state.
 Right after every watermark at a step boundary the driver calls
@@ -80,10 +81,6 @@ from streamgraph.pathop import PathStage
 GC_GEN0_THRESHOLD = 50_000
 
 
-class CompileError(ValueError):
-    pass
-
-
 class StreamOrderError(ValueError):
     pass
 
@@ -113,9 +110,10 @@ class PipeNode:
 
 class OutputSink:
     """Terminal stage: keeps the signed emission log.  Snapshots read the
-    live advertisements of the ``root`` Coalesce."""
+    live keys of the ``root`` stage, which restores set semantics: the
+    Coalesce, or a root Path with one accepting state."""
 
-    def __init__(self, root: CoalesceStage):
+    def __init__(self, root: CoalesceStage | PathStage):
         self.log: list[StreamTuple] = []
         self.root = root
 
@@ -127,8 +125,7 @@ class OutputSink:
         pass
 
     def snapshot(self, t: int) -> set[tuple[str, str, str]]:
-        return {key for key, (_origin, iv, _payload) in self.root.advertised.items()
-                if iv.contains(t)}
+        return self.root.live_keys(t)
 
     def results(self) -> list[StreamTuple]:
         """Net results in (ts, src, trg, label, exp) order.  Stable sorts
@@ -169,11 +166,17 @@ class Pipeline:
         self.min_slide = min((slide for _size, slide in windows), default=1)
         self._ids = itertools.count(1)  # stage ids, for origins
         top = self._add(None, None, 0, "sink")
-        root = CoalesceStage(next(self._ids))
-        # a filter reads only the key, so root filters commute with the
-        # Coalesce and compile below it, like any other filter
-        coalesce = self._add(root, top, 0, f"coalesce {algebra.plan_label(plan)}")
-        self._build(plan, coalesce, 0)
+        dfa = build_dfa(plan.regex) if isinstance(plan, algebra.Path) else None
+        if dfa is not None and len(dfa.accepting) == 1:
+            # its results map one-to-one onto keys: it writes the log itself
+            root = PathStage(dfa, plan.label, next(self._ids), payload, at_root=True)
+            self._build(plan, top, 0, root)
+        else:
+            root = CoalesceStage(next(self._ids))
+            # a filter reads only the key, so root filters commute with
+            # the Coalesce and compile below it, like any other filter
+            coalesce = self._add(root, top, 0, f"coalesce {algebra.plan_label(plan)}")
+            self._build(plan, coalesce, 0)
         self.sink = top.stage = OutputSink(root)
 
     def _add(self, stage, parent: PipeNode | None, port: int, label: str) -> PipeNode:
@@ -181,8 +184,8 @@ class Pipeline:
         self.nodes.append(node)
         return node
 
-    def _build(self, node, parent: PipeNode, port: int) -> None:
-        """Compile ``node`` below ``parent``."""
+    def _build(self, node, parent: PipeNode, port: int, stage=None) -> None:
+        """Compile ``node`` below ``parent``, a root Path as ``stage``."""
         lbl = algebra.plan_label(node)
         if isinstance(node, algebra.Wscan):
             window = (math.inf, 1) if node.size is None else (node.size, node.slide)
@@ -191,27 +194,25 @@ class Pipeline:
         elif isinstance(node, algebra.Filter):
             entry = self._add(FilterStage(node.predicate), parent, port, f"filter {lbl}")
             self._build(node.child, entry, 0)
-        elif isinstance(node, (algebra.Union, algebra.Pattern, algebra.Path)):
+        else:  # validate_plan admits no other kind of node
             kids = node.children
             if isinstance(node, algebra.Union):
                 stage, kind = UnionStage(node.label), "union"
             elif isinstance(node, algebra.Pattern):
                 stage, kind = PatternStage(len(kids), node.condition, node.label), "pattern"
             else:
-                stage = PathStage(
-                    build_dfa(node.regex), node.label, next(self._ids), self.payload
-                )
+                stage = stage or PathStage(build_dfa(node.regex), node.label,
+                                           next(self._ids), self.payload)
                 kind = "path"
             entry = self._add(stage, parent, port, f"{kind} {lbl}")
             for i, kid in enumerate(kids):
                 self._build(kid, entry, i)
-        else:
-            raise CompileError(f"cannot compile plan node {type(node).__name__}")
 
     def tap(self, label: str) -> list[StreamTuple]:
         """Capture what the outermost stage of each occurrence of relation
-        ``label`` emits.  Below the root that is not coalesced: a key may
-        be live under several origins, and ``net_results`` reads it so."""
+        ``label`` emits.  At the root that is the written log, which the
+        Coalesce or the root Path writes by key; below it, a key may be
+        live under several origins, and ``net_results`` reads it so."""
         buf: list[StreamTuple] = []
         hits = [n for n in self.nodes[1:] if n.label.partition(" ")[2] == label
                 != n.parent.label.partition(" ")[2]]

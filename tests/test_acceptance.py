@@ -774,19 +774,27 @@ def test_performance_budget_on_cyclic_stream(tmp_path):
 
 def test_set_semantics_hook_covers_all_runs():
     """The contract and duplicate-detection hook is live on every test
-    in this module; a churn-heavy run keeps the coalesced root stream
-    duplicate free, while a stream tapped below the root is a bag, and
-    a positive that does not hold its instant is caught."""
+    in this module; a churn-heavy run keeps the root stream duplicate
+    free, whether a Coalesce or a root Path writes it, while a stream
+    tapped below the root is a bag, and a positive that does not hold
+    its instant is caught."""
     before = (_HOOK_STATS["coalesce"], _HOOK_STATS["sink"])
 
     events = _fuzz_events(seed=900, ops=400)
+    # union_closures' root is a union of joins: a Coalesce writes its log
+    q = parse_query(TABLE_QUERIES["union_closures"], window=40, slide=5)
+    coalesced = compile_plan(to_plan(q))
+    run_stream(coalesced, events)
+    assert isinstance(coalesced.sink.root, operators.CoalesceStage)
+    assert coalesced.sink.log
+
     q = parse_query(TABLE_QUERIES["siblings_closure"], window=40, slide=5)
     pipe = compile_plan(to_plan(q))
     answers, pairs = pipe.tap("PP"), pipe.tap("P")
     run_stream(pipe, events)
 
-    # the PP tap reads the root Coalesce: per key, live intervals stay
-    # pairwise disjoint at every prefix
+    # the PP tap reads the root Path, which writes the log itself: per
+    # key, live intervals stay pairwise disjoint at every prefix
     live = {}
     for t in answers:
         if t.sign > 0:
@@ -992,16 +1000,17 @@ PINNED_ENDS = {
 
 # ordered signed emission log digest (``_log_digest``, origins included)
 # of every catalog shape over the same stream, in the "derived" and
-# "expanded" payload modes
+# "expanded" payload modes; where the root Path writes the log (closure,
+# chain_closure, siblings_closure), its runs' origins are ("p", 1, n)
 PINNED_LOG_DIGESTS = {
-    "closure": ("314424cbed7d9b3f", "314424cbed7d9b3f"),
+    "closure": ("178a94ebf29da116", "178a94ebf29da116"),
     "step_closure": ("ebf39bb96fed4c8d", "ebf39bb96fed4c8d"),
     "union_closures": ("4b30770613318b7c", "4b30770613318b7c"),
-    "chain_closure": ("e2a999cf511ff91f", "811d16edb4946940"),
+    "chain_closure": ("bc789669cc8c47b5", "6fe4f5ffc68b157b"),
     "square": ("6cb3128c9d113d23", "6cb3128c9d113d23"),
     "guarded_closure": ("38958c54bcb04698", "38958c54bcb04698"),
     "nested_closure": ("54bc21c2e86243d0", "584d6b91e8774918"),
-    "siblings_closure": ("894fdb37014317f0", "225065c42b44907d"),
+    "siblings_closure": ("e58905803aaf79f3", "b87e23f3f7833e4a"),
 }
 
 

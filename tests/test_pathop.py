@@ -14,10 +14,12 @@ import zlib
 import pytest
 
 from streamgraph.automata import build_dfa, parse_regex
-from streamgraph.model import Interval, StreamTuple
+from streamgraph.model import Interval, StreamTuple, window_interval
+from streamgraph.operators import CoalesceStage
 from streamgraph.oracle import widest_validity
 from streamgraph.pathop import PathStage
 from streamgraph.runtime import net_results
+from streamgraph.streams import format_result
 
 INF = float("inf")
 
@@ -28,8 +30,9 @@ def sgt(src, trg, label, ts, exp, origin, sign=1, payload=None):
     return StreamTuple(src, trg, label, Interval(ts, exp), payload, sign, origin=origin)
 
 
-def stage(regex="RL+", label="RLP", payload="derived"):
-    return PathStage(build_dfa(parse_regex(regex)), label, op_id=1, payload=payload)
+def stage(regex="RL+", label="RLP", payload="derived", at_root=False):
+    return PathStage(build_dfa(parse_regex(regex)), label, op_id=1, payload=payload,
+                     at_root=at_root)
 
 
 def tree_table(st, root):
@@ -339,6 +342,142 @@ def test_a_held_origin_replacement_regrows_its_results_without_retracting_them()
         (1, "x", "y", 20), (1, "x", "z", 20)]
     out = st.on_tuple(0, sgt("x", "y", "a", 0, 20, 1, sign=-1), 2)
     assert [(r.sign, r.src, r.trg) for r in out] == [(-1, "x", "y"), (-1, "x", "z")]
+
+
+# the root path: it writes the key-addressed log that a Coalesce above
+# a path below the root would write
+
+
+def _lines(outs):
+    return [(format_result(t), t.origin) for t in outs]
+
+
+def test_a_held_origin_replacement_at_the_root_continues_the_lines():
+    """The results that the replacement's deletion retracts and its
+    insertion regrows continue their lines: same origins, earlier starts
+    kept, no ``-``."""
+    st = stage("a+", "P", at_root=True)
+    first = st.on_tuple(0, sgt("x", "y", "a", 0, 30, 1), 0)
+    first += st.on_tuple(0, sgt("y", "z", "a", 0, 30, 2), 0)
+    origin = {(t.src, t.trg): t.origin for t in first}
+    out = st.on_tuple(0, sgt("x", "y", "a", 1, 20, 1), 1)
+    assert _lines(out) == [("+ x y P 0 20 x:a:y", origin["x", "y"]),
+                           ("+ x z P 0 20 x:a:y;y:a:z", origin["x", "z"])]
+
+
+def test_a_reparent_onto_a_parallel_edge_writes_no_line_in_derived_mode():
+    """In derived mode a parallel edge gives the same payload, so a
+    result regrown over it with the same interval changes nothing: the
+    root writes no line, where a path below the root re-emits it."""
+    below, root = stage("a+", "P"), stage("a+", "P", at_root=True)
+    for st in (below, root):
+        st.on_tuple(0, sgt("x", "y", "a", 0, 20, 1), 0)
+        st.on_tuple(0, sgt("x", "y", "a", 1, 20, 2), 1)
+    assert [(t.sign, t.ts, t.exp) for t in
+            below.on_tuple(0, sgt("x", "y", "a", 2, 20, 1, sign=-1), 2)] == [(1, 1, 20)]
+    assert root.on_tuple(0, sgt("x", "y", "a", 2, 20, 1, sign=-1), 2) == []
+    assert root.trees["x"].nodes[("y", 1)].via.origin == 2
+
+
+def _regrown_on_a_later_parallel_edge():
+    st = stage("a+", "P", at_root=True)
+    [line] = st.on_tuple(0, sgt("x", "y", "a", 0, 20, 1), 0)
+    st.on_tuple(0, sgt("x", "y", "a", 5, 15, 2), 5)
+    out = st.on_tuple(0, sgt("x", "y", "a", 6, 20, 1, sign=-1), 6)
+    return st, line, out
+
+
+def test_a_regrown_result_keeps_its_lines_start():
+    """The key was live throughout, so its line keeps its start, 0, and
+    not its new witness's, 5, under the same origin."""
+    st, line, out = _regrown_on_a_later_parallel_edge()
+    assert _lines(out) == [("+ x y P 0 15 x:a:y", line.origin)]
+    assert st.trees["x"].nodes[("y", 1)].ts == 5
+
+
+def test_a_retraction_at_the_root_equals_the_live_line():
+    """A ``-`` repeats the key's line as written, start and payload
+    included, not the node's own interval."""
+    st, _line, (regrown,) = _regrown_on_a_later_parallel_edge()
+    out = st.on_tuple(0, sgt("x", "y", "a", 7, 15, 2, sign=-1), 7)
+    assert _lines(out) == [("- x y P 0 15 x:a:y", regrown.origin)]
+    assert (out[0].interval, out[0].payload) == (regrown.interval, regrown.payload)
+
+
+def test_a_keys_second_run_gets_a_fresh_origin():
+    """A run that ends by expiry and a later run of the same key are two
+    lines under two origins, so a replay by origin keeps both."""
+    st = stage("a+", "P", at_root=True)
+    first = st.on_tuple(0, sgt("x", "y", "a", 0, 10, 1), 0)
+    st.on_watermark(10)
+    second = st.on_tuple(0, sgt("x", "y", "a", 12, 22, 2), 12)
+    assert first[0].origin != second[0].origin
+    assert sorted(format_result(t) for t in net_results(first + second)) == [
+        "+ x y P 0 10 x:a:y", "+ x y P 12 22 x:a:y"]
+
+
+def _churn(seed, size, slide, payload, ops=600, vertices=7):
+    """(now, tuple) pairs for one path input: windowed insertions,
+    deletions of live ones, and positives under a held origin with a new
+    interval or payload, as a join below the path re-emits them; a
+    replacement's interval holds now and ends at the window's end of now
+    or of its own start, if that is later than now."""
+    rng = random.Random(seed)
+    verts = [f"v{i}" for i in range(vertices)]
+    live = {}
+    for now in range(ops):
+        live = {o: t for o, t in live.items() if t.exp > now}
+        r = rng.random()
+        if live and r < 0.35:
+            t = live.pop(rng.choice(sorted(live)))
+            yield now, sgt(t.src, t.trg, t.label, now, t.exp, t.origin, -1, t.payload)
+            continue
+        if live and r < 0.5:
+            t = live[rng.choice(sorted(live))]
+            src, trg, lab, o = t.src, t.trg, t.label, t.origin
+            start = rng.choice([t.ts, now])
+        else:
+            src, trg = rng.sample(verts, 2)
+            lab, o, start = rng.choice("ab"), now, now
+        end = max(window_interval(rng.choice([start, now]), size, slide).end, now + 1)
+        hop = (src, lab, trg) if payload == "derived" else (src, f"e{rng.randint(0, 2)}", trg)
+        live[o] = sgt(src, trg, lab, start, end, o, payload=(hop,))
+        yield now, live[o]
+
+
+@pytest.mark.parametrize("payload", ["derived", "expanded"])
+@pytest.mark.parametrize("window", [(40, 5), (7, 3)], ids=["40-5", "7-3"])
+@pytest.mark.parametrize("regex", ["a+", "(a.b)+", "(a|b)+", "(a.a.b)+"])
+def test_a_root_path_writes_what_a_coalesce_above_a_path_writes(regex, window, payload):
+    """Differential: over deletion-heavy streams with held-origin
+    replacements, a root path writes exactly the lines that a path below
+    the root followed by a Coalesce writes, and its origins map one to
+    one onto the Coalesce's, so a replay by origin agrees too.  In
+    (a.a.b)+, label a leads to two states."""
+    dfa = build_dfa(parse_regex(regex))
+    retracted = suppressed = 0
+    for seed in range(4):
+        below = PathStage(dfa, "P", 1, payload)
+        coalesce = CoalesceStage(2)
+        root = PathStage(dfa, "P", 1, payload, at_root=True)
+        want, got = [], []
+        for now, t in _churn(seed, *window, payload):
+            for st in (below, coalesce, root):
+                st.on_watermark(now)
+            results = below.on_tuple(0, t, now)
+            for r in results:
+                want += coalesce.on_tuple(0, r, now)
+            suppressed += len(results)
+            got += root.on_tuple(0, t, now)
+            assert root.live_keys(now) == coalesce.live_keys(now)
+        assert [format_result(t) for t in got] == [format_result(t) for t in want]
+        renamed = {}
+        assert all(renamed.setdefault(w.origin, g.origin) == g.origin
+                   for w, g in zip(want, got))
+        assert len(set(renamed.values())) == len(renamed)
+        retracted += sum(t.sign < 0 for t in got)
+        suppressed -= len(got)
+    assert retracted > 0 and suppressed > 0
 
 
 # expiry

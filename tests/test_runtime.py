@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from streamgraph import algebra
+from streamgraph.automata import build_dfa, parse_regex
 from streamgraph.model import EdgeEvent, Interval, StreamTuple
 from streamgraph.operators import CoalesceStage, eval_predicate
+from streamgraph.pathop import PathStage
 from streamgraph.query import parse_query, to_plan
 from streamgraph.runtime import (
     GC_GEN0_THRESHOLD,
@@ -121,18 +123,49 @@ def _catalog_variants():
     yield "root filter", algebra.Filter(algebra.Wscan("a", 10, 2), not_q)
 
 
-def test_every_plan_compiles_one_coalesce_below_its_root_filters():
-    """Set semantics are restored once, at the root: the only
-    CoalesceStage sits directly below the sink, with the plan's root
-    filters compiled beneath it, and the sink reads its table."""
-    seen = 0
+def test_every_plan_compiles_one_set_semantics_stage_below_the_sink():
+    """Set semantics are restored once, at the root: exactly one stage
+    sits directly below the sink, with the plan's root filters compiled
+    beneath it, and the sink reads its live keys.  It is the plan's root
+    Path when that Path's automaton has one accepting state, so that its
+    results map one-to-one onto keys; otherwise it is the only
+    CoalesceStage.  Every other Path writes node-addressed results."""
+    seen = {"coalesce": 0, "path": 0}
     for name, plan in _catalog_variants():
         pipe = compile_plan(plan)
-        [co] = [n for n in pipe.nodes if isinstance(n.stage, CoalesceStage)]
-        assert co.parent is pipe.nodes[0], (name, algebra.render_plan(plan))
-        assert pipe.sink.root is co.stage
-        seen += 1
-    assert seen > len(TABLE_QUERIES) + 1
+        where = (name, algebra.render_plan(plan))
+        [top] = [n for n in pipe.nodes if n.parent is pipe.nodes[0]]
+        assert pipe.sink.root is top.stage, where
+        coalesces = [n for n in pipe.nodes if isinstance(n.stage, CoalesceStage)]
+        at_root = [n for n in pipe.nodes
+                   if isinstance(n.stage, PathStage) and n.stage.at_root]
+        if isinstance(plan, algebra.Path) and len(build_dfa(plan.regex).accepting) == 1:
+            assert isinstance(top.stage, PathStage) and top.stage.at_root, where
+            assert top.label == f"path {plan.label}" and coalesces == [], where
+            assert at_root == [top], where
+            seen["path"] += 1
+        else:
+            assert coalesces == [top] and at_root == [], where
+            seen["coalesce"] += 1
+    assert sum(seen.values()) > len(TABLE_QUERIES) + 1 and min(seen.values()) > 2, seen
+
+
+def test_a_root_path_with_several_accepting_states_keeps_the_coalesce():
+    """Two accepting states can give one key twice, under two origins:
+    only a Coalesce restores set semantics there."""
+    plan = algebra.Path((algebra.Wscan("a", 10, 2), algebra.Wscan("b", 10, 2)),
+                        parse_regex("a|a.b"), "P")
+    assert len(build_dfa(plan.regex).accepting) == 2
+    pipe = compile_plan(plan)
+    assert [n.label for n in pipe.nodes[:3]] == ["sink", "coalesce P", "path P"]
+    assert pipe.sink.root is pipe.nodes[1].stage
+    assert not pipe.nodes[2].stage.at_root
+
+
+@pytest.mark.parametrize("plan", [None, object()], ids=["none", "object"])
+def test_compiling_anything_but_a_plan_node_is_a_plan_error(plan):
+    with pytest.raises(algebra.PlanError, match="not a plan node"):
+        compile_plan(plan)
 
 
 def _physical(pipe):
