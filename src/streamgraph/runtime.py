@@ -169,23 +169,23 @@ class Pipeline:
         dfa = build_dfa(plan.regex) if isinstance(plan, algebra.Path) else None
         if dfa is not None and len(dfa.accepting) == 1:
             # its results map one-to-one onto keys: it writes the log itself
-            root = PathStage(dfa, plan.label, next(self._ids), payload, at_root=True)
-            self._build(plan, top, 0, root)
+            self._build(plan, top, 0, dfa, at_root=True)
         else:
-            root = CoalesceStage(next(self._ids))
             # a filter reads only the key, so root filters commute with
             # the Coalesce and compile below it, like any other filter
-            coalesce = self._add(root, top, 0, f"coalesce {algebra.plan_label(plan)}")
-            self._build(plan, coalesce, 0)
-        self.sink = top.stage = OutputSink(root)
+            coalesce = self._add(CoalesceStage(next(self._ids)), top, 0,
+                                 f"coalesce {algebra.plan_label(plan)}")
+            self._build(plan, coalesce, 0, dfa)
+        self.sink = top.stage = OutputSink(self.nodes[1].stage)
 
     def _add(self, stage, parent: PipeNode | None, port: int, label: str) -> PipeNode:
         node = PipeNode(stage, parent, port, label)
         self.nodes.append(node)
         return node
 
-    def _build(self, node, parent: PipeNode, port: int, stage=None) -> None:
-        """Compile ``node`` below ``parent``, a root Path as ``stage``."""
+    def _build(self, node, parent: PipeNode, port: int, dfa=None, at_root=False) -> None:
+        """Compile ``node`` below ``parent``; a Path node uses ``dfa`` when
+        one is given, and writes the log by key ``at_root``."""
         lbl = algebra.plan_label(node)
         if isinstance(node, algebra.Wscan):
             window = (math.inf, 1) if node.size is None else (node.size, node.slide)
@@ -201,8 +201,8 @@ class Pipeline:
             elif isinstance(node, algebra.Pattern):
                 stage, kind = PatternStage(len(kids), node.condition, node.label), "pattern"
             else:
-                stage = stage or PathStage(build_dfa(node.regex), node.label,
-                                           next(self._ids), self.payload)
+                stage = PathStage(dfa or build_dfa(node.regex), node.label,
+                                  next(self._ids), self.payload, at_root)
                 kind = "path"
             entry = self._add(stage, parent, port, f"{kind} {lbl}")
             for i, kid in enumerate(kids):
