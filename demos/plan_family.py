@@ -6,7 +6,7 @@ one, two, or all three scans into the automaton.  All four plans give
 the same coalesced results; their operator trees (and costs) differ.
 """
 
-from streamgraph.algebra import enumerate_plans, parse_plan, render_plan
+from streamgraph.algebra import enumerate_plans, render_plan
 from streamgraph.query import parse_query, to_plan
 from streamgraph.runtime import compile_plan, run_stream
 from streamgraph.streams import generate_synthetic
@@ -32,12 +32,15 @@ REWRITES = [
 def main():
     canonical = to_plan(parse_query(QUERY))
     print("canonical:", render_plan(canonical))
-    variants = sorted(render_plan(p) for p in enumerate_plans(canonical, 3))
-    print(f"{len(variants)} plans within 3 rewrites\n")
+    family = {render_plan(p): p for p in enumerate_plans(canonical, 3)}
+    print(f"{len(family)} plans within 3 rewrites\n")
+    missing = [s for s in REWRITES if s not in family]
+    if missing:
+        raise SystemExit(f"rewrites not in the enumerated family: {missing}")
 
     events = generate_synthetic(10, 120, rate=2.0, cyclicity=0.4, seed=7)
     for name, plan in [("canonical", canonical)] + [
-        (f"rewrite {i}", parse_plan(s)) for i, s in enumerate(REWRITES, 1)
+        (f"rewrite {i}", family[s]) for i, s in enumerate(REWRITES, 1)
     ]:
         pipe = compile_plan(plan)
         run_stream(pipe, events)

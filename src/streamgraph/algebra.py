@@ -10,8 +10,9 @@ A plan is an immutable tree built from five node kinds:
     Path     regular-expression navigation over child labels
 
 Every node carries the label its output tuples will wear (plan_label).
-Plans render to a deterministic one-line text form and parse back to a
-structurally equal tree, which the CLI and the plan-space tools rely on.
+Plans are built with the node constructors (to_plan does so for a
+query) and checked by validate_plan; compile_plan runs it. Plans render
+to a deterministic one-line text form, which `streamgraph plan` prints.
 
 Rewrites turn an alternation of labels into a union and a concatenation
 into a chain join, and move between "join inside the loop" and "labels
@@ -28,11 +29,11 @@ from dataclasses import dataclass
 from streamgraph.automata import (
     Alt,
     Concat,
+    Opt,
     Plus,
-    RegexError,
+    Star,
     Sym,
     nullable,
-    parse_regex,
     regex_alphabet,
     render_regex,
 )
@@ -144,7 +145,8 @@ def _with_children(node: PlanNode, kids: tuple[PlanNode, ...]) -> PlanNode:
 
 def validate_plan(node: PlanNode) -> None:
     """Reject trees whose conditions or regexes reference missing inputs,
-    and anything that is not a plan node."""
+    malformed filter comparisons or regexes, and anything that is not a
+    plan node."""
     if not isinstance(node, PlanNode):
         raise PlanError(f"not a plan node: {type(node).__name__}")
     kids = children_of(node)
@@ -161,6 +163,8 @@ def validate_plan(node: PlanNode) -> None:
             if not 0 <= p.atom < n:
                 raise PlanError(f"output references input {p.atom + 1} of {n}")
     elif isinstance(node, Path):
+        if not _is_regex(node.regex):
+            raise PlanError(f"path regex is not a regex tree: {node.regex!r}")
         have = {plan_label(c) for c in kids}
         used = regex_alphabet(node.regex)
         if not used:
@@ -173,6 +177,8 @@ def validate_plan(node: PlanNode) -> None:
             raise PlanError("union needs at least one input")
     elif isinstance(node, Filter):
         for cmp_ in node.predicate:
+            if cmp_.op not in ("=", "!=") or cmp_.rhs[0] not in ("attr", "const"):
+                raise PlanError(f"bad filter comparison {cmp_!r}")
             names = [cmp_.lhs] + ([cmp_.rhs[1]] if cmp_.rhs[0] == "attr" else [])
             for a in names:
                 if a not in ("src", "trg", "label"):
@@ -180,6 +186,14 @@ def validate_plan(node: PlanNode) -> None:
     elif isinstance(node, Wscan) and node.size is not None:
         if node.size < node.slide or node.slide < 1:
             raise PlanError("window size must be >= slide >= 1")
+
+
+def _is_regex(rx) -> bool:
+    if isinstance(rx, Sym):
+        return True
+    if isinstance(rx, (Concat, Alt)):
+        return all(_is_regex(p) for p in rx.parts)
+    return isinstance(rx, (Star, Plus, Opt)) and _is_regex(rx.inner)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +229,7 @@ def _header(node: PlanNode) -> str:
 
 
 def render_plan(node: PlanNode) -> str:
-    """Deterministic one-line plan text; parse_plan inverts it."""
+    """Deterministic one-line plan text."""
     kids = children_of(node)
     if not kids:
         return _header(node)
@@ -223,7 +237,7 @@ def render_plan(node: PlanNode) -> str:
 
 
 def format_plan(node: PlanNode, indent: int = 0) -> str:
-    """Indented multi-line rendering for human eyes; still parseable."""
+    """Indented multi-line rendering of render_plan's text, for human eyes."""
     pad = "  " * indent
     kids = children_of(node)
     if not kids:
@@ -233,162 +247,7 @@ def format_plan(node: PlanNode, indent: int = 0) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
-
-_IDENT = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            raise PlanError(f"expected {ch!r} at offset {self.i} in plan text")
-        self.i += 1
-
-    def ident(self) -> str:
-        self.skip_ws()
-        m = _IDENT.match(self.text, self.i)
-        if not m:
-            raise PlanError(f"expected name at offset {self.i} in plan text")
-        self.i = m.end()
-        return m.group()
-
-    def bracket_body(self) -> str:
-        self.expect("[")
-        start = self.i
-        depth, quoted = 0, False
-        while self.i < len(self.text):
-            ch = self.text[self.i]
-            if quoted:
-                quoted = ch != '"'
-            elif ch == '"':
-                quoted = True
-            elif ch == "[":
-                depth += 1
-            elif ch == "]":
-                if depth == 0:
-                    body = self.text[start : self.i]
-                    self.i += 1
-                    return body
-                depth -= 1
-            self.i += 1
-        raise PlanError("unterminated '[' in plan text")
-
-
-def _parse_pos(text: str) -> Pos:
-    m = re.fullmatch(r"(src|trg)(\d+)", text.strip())
-    if not m:
-        raise PlanError(f"bad join position {text!r}")
-    return Pos(int(m.group(2)) - 1, m.group(1))
-
-
-def _parse_cond(body: str) -> tuple[JoinCondition, str]:
-    left, arrow, right = body.partition("->")
-    if not arrow:
-        raise PlanError(f"pattern condition missing '->' in {body!r}")
-    right = right.strip()
-    m = re.fullmatch(r"\(\s*([a-z0-9]+)\s*,\s*([a-z0-9]+)\s*\)\s*(.*)", right, re.S)
-    if not m:
-        raise PlanError(f"bad pattern output in {body!r}")
-    out_src, out_trg = _parse_pos(m.group(1)), _parse_pos(m.group(2))
-    label = m.group(3).strip()
-    eqs = []
-    if left.strip():
-        for part in left.split("&"):
-            a, eq, b = part.partition("=")
-            if not eq:
-                raise PlanError(f"bad equality {part!r}")
-            eqs.append((_parse_pos(a), _parse_pos(b)))
-    return JoinCondition(tuple(eqs), out_src, out_trg), label
-
-
-def _parse_predicate(body: str) -> tuple[Comparison, ...]:
-    out = []
-    for part in body.split("&"):
-        m = re.fullmatch(r'\s*(\w+)\s*(!?=)\s*(?:"([^"]*)"|(\w+))\s*', part)
-        if not m:
-            raise PlanError(f"bad filter comparison {part!r}")
-        rhs = ("const", m.group(3)) if m.group(3) is not None else ("attr", m.group(4))
-        out.append(Comparison(m.group(1), m.group(2), rhs))
-    return tuple(out)
-
-
-def parse_plan(text: str) -> PlanNode:
-    sc = _Scanner(text)
-    node = _parse_node(sc)
-    sc.skip_ws()
-    if sc.i != len(sc.text):
-        raise PlanError(f"trailing input at offset {sc.i} in plan text")
-    validate_plan(node)
-    return node
-
-
-def _parse_node(sc: _Scanner) -> PlanNode:
-    kind = sc.ident()
-    body = sc.bracket_body()
-    kids: tuple[PlanNode, ...] = ()
-    if sc.peek() == "(":
-        sc.expect("(")
-        parts = [_parse_node(sc)]
-        while sc.peek() == ",":
-            sc.expect(",")
-            parts.append(_parse_node(sc))
-        sc.expect(")")
-        kids = tuple(parts)
-    if kind == "wscan":
-        m = re.fullmatch(
-            r"\s*([A-Za-z_$][A-Za-z0-9_$]*)\s*(?:size=(\d+)\s+slide=(\d+)\s*)?", body
-        )
-        if not m or kids:
-            raise PlanError(f"bad scan {body!r}")
-        if m.group(2) is None:
-            return Wscan(m.group(1))
-        return Wscan(m.group(1), int(m.group(2)), int(m.group(3)))
-    if kind == "filter":
-        if len(kids) != 1:
-            raise PlanError("filter takes exactly one input")
-        return Filter(kids[0], _parse_predicate(body))
-    if kind == "union":
-        return Union(kids, body.strip())
-    if kind == "pattern":
-        cond, label = _parse_cond(body)
-        return Pattern(kids, cond, label)
-    if kind == "path":
-        rx, arrow, label = body.rpartition("->")
-        if not arrow:
-            raise PlanError(f"path header missing '->' in {body!r}")
-        try:
-            regex = parse_regex(rx)
-        except RegexError as exc:
-            raise PlanError(f"bad path regex: {exc}") from exc
-        return Path(kids, regex, label.strip())
-    raise PlanError(f"unknown plan node kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # Rewrites
-
-
-def _rewrite_everywhere(node: PlanNode, fn) -> PlanNode:
-    kids = tuple(_rewrite_everywhere(c, fn) for c in children_of(node))
-    return fn(_with_children(node, kids))
-
-
-def rewrite_path_alternation(node: PlanNode) -> PlanNode:
-    """Replace paths whose regex is a plain alternation of input labels
-    with a union of those inputs."""
-    return _rewrite_everywhere(node, _alt_to_union)
 
 
 def _alt_to_union(node: PlanNode) -> PlanNode:
@@ -414,12 +273,6 @@ def _is_chain_join(node: PlanNode) -> bool:
         and len(node.children) >= 2
         and node.condition == _chain_condition(len(node.children))
     )
-
-
-def rewrite_path_concatenation(node: PlanNode) -> PlanNode:
-    """Split a path whose regex is a concatenation of non-empty pieces into
-    a chain join; pieces that are not bare labels become nested paths."""
-    return _rewrite_everywhere(node, _concat_to_join)
 
 
 def _concat_to_join(node: PlanNode) -> PlanNode:

@@ -559,7 +559,10 @@ def test_bag_inputs_below_the_root_match_the_oracle(monkeypatch, queries, seed,
 
 
 # a plan whose two windows purge on different slides (10/5 and 9/3)
-MIXED_SLIDE_PLAN = ("union[D](path[a+ -> P](wscan[a size=10 slide=5]),"
+MIXED_SLIDE_PLAN = algebra.Union(
+    (algebra.Path((algebra.Wscan("a", 10, 5),), parse_regex("a+"), "P"),
+     algebra.Wscan("b", 9, 3)), "D")
+MIXED_SLIDE_TEXT = ("union[D](path[a+ -> P](wscan[a size=10 slide=5]),"
                     " wscan[b size=9 slide=3])")
 
 
@@ -573,7 +576,7 @@ def test_expiry_never_retracts(monkeypatch):
     events = _fuzz_events(seed=7, ops=3000)
     plans = {name: to_plan(parse_query(text, window=10, slide=3))
              for name, text in TABLE_QUERIES.items()}
-    plans["mixed slides"] = algebra.parse_plan(MIXED_SLIDE_PLAN)
+    plans["mixed slides"] = MIXED_SLIDE_PLAN
     retractions = 0
     for name, plan in plans.items():
         nows.clear()
@@ -618,7 +621,7 @@ def test_insert_only_streams_write_no_retraction(window, slide):
     (to_plan(parse_query(TABLE_QUERIES["closure"], window=10, slide=3)),
      [("r", "x", "a", 4), ("r", "x", "a", 13)],
      ["+ r x $a_plus 4 13 r:a:x", "+ r x $a_plus 13 22 r:a:x"]),
-    (algebra.parse_plan(MIXED_SLIDE_PLAN),
+    (MIXED_SLIDE_PLAN,
      [("r", "x", "a", 0), ("q", "q", "b", 1), ("r", "x", "a", 11)],
      ["+ r x D 0 10 r:a:x", "+ q q D 1 9 q:b:q", "+ r x D 11 20 r:a:x"]),
 ], ids=["one-query", "mixed-slides"])
@@ -649,9 +652,37 @@ CHAIN_REWRITES = [
 ]
 
 
+def _chain_scan(label):
+    return algebra.Wscan(label, 10, 5)
+
+
+def _chain_pair(first, second):
+    """The two-way chain join of two scans, labelled $tmp1."""
+    cond = algebra.JoinCondition(((algebra.Pos(0, "trg"), algebra.Pos(1, "src")),),
+                                 algebra.Pos(0, "src"), algebra.Pos(1, "trg"))
+    return algebra.Pattern((_chain_scan(first), _chain_scan(second)), cond, "$tmp1")
+
+
+# the plans that CHAIN_REWRITES render
+CHAIN_REWRITE_PLANS = [
+    algebra.Path(tuple(map(_chain_scan, "abc")), parse_regex("(a.b.c)+"), "DP"),
+    algebra.Path((_chain_scan("a"), _chain_pair("b", "c")),
+                 parse_regex("(a.$tmp1)+"), "DP"),
+    algebra.Path((_chain_pair("a", "b"), _chain_scan("c")),
+                 parse_regex("($tmp1.c)+"), "DP"),
+]
+
+
+def test_hand_built_plans_render_to_their_texts():
+    for plan in [MIXED_SLIDE_PLAN] + CHAIN_REWRITE_PLANS:
+        algebra.validate_plan(plan)
+    assert algebra.render_plan(MIXED_SLIDE_PLAN) == MIXED_SLIDE_TEXT
+    assert [algebra.render_plan(p) for p in CHAIN_REWRITE_PLANS] == CHAIN_REWRITES
+
+
 def test_plan_rewrites_produce_identical_outputs(tmp_path):
     canonical = to_plan(parse_query(CHAIN_QUERY_WINDOWED))
-    plans = [canonical] + [algebra.parse_plan(s) for s in CHAIN_REWRITES]
+    plans = [canonical] + CHAIN_REWRITE_PLANS
 
     for i in range(20):
         events = generate_synthetic(8 + (i % 5) * 2, 120, rate=2.0,

@@ -15,11 +15,9 @@ from streamgraph.algebra import (
     Union,
     Wscan,
     enumerate_plans,
-    parse_plan,
     plan_label,
     render_plan,
-    rewrite_path_alternation,
-    rewrite_path_concatenation,
+    validate_plan,
     walk,
 )
 from streamgraph.automata import parse_regex
@@ -46,63 +44,68 @@ def test_plan_label():
     assert plan_label(Union((scan("a"),), "D")) == "D"
 
 
-def test_render_parse_round_trip_fixed():
-    texts = [
-        "wscan[a size=24 slide=1]",
-        "wscan[a]",
-        "wscan[a size=24 slide=2]",
-        'filter[src != trg & label = "likes"](wscan[a size=5 slide=1])',
-        "union[D](wscan[a size=5 slide=1], wscan[b size=5 slide=1])",
-        "pattern[trg1=src2 -> (src1, trg2) D](wscan[a size=5 slide=1], wscan[b size=5 slide=1])",
-        "pattern[-> (trg1, src1) D](wscan[a size=5 slide=1])",
-        "path[(a.b)+|c -> D](wscan[a size=5 slide=1], wscan[b size=5 slide=1], wscan[c size=5 slide=1])",
-    ]
-    for text in texts:
-        assert render_plan(parse_plan(text)) == text
+FIXED_TEXTS = [
+    (Wscan("a", 24, 1), "wscan[a size=24 slide=1]"),
+    (Wscan("a"), "wscan[a]"),
+    (Wscan("a", 24, 2), "wscan[a size=24 slide=2]"),
+    (Filter(scan("a", 5), (Comparison("src", "!=", ("attr", "trg")),
+                           Comparison("label", "=", ("const", "likes")))),
+     'filter[src != trg & label = "likes"](wscan[a size=5 slide=1])'),
+    (Union((scan("a", 5), scan("b", 5)), "D"),
+     "union[D](wscan[a size=5 slide=1], wscan[b size=5 slide=1])"),
+    (chain([scan("a", 5), scan("b", 5)], "D"),
+     "pattern[trg1=src2 -> (src1, trg2) D](wscan[a size=5 slide=1], wscan[b size=5 slide=1])"),
+    (Pattern((scan("a", 5),), JoinCondition((), Pos(0, "trg"), Pos(0, "src")), "D"),
+     "pattern[-> (trg1, src1) D](wscan[a size=5 slide=1])"),
+    (Path((scan("a", 5), scan("b", 5), scan("c", 5)), parse_regex("(a.b)+|c"), "D"),
+     "path[(a.b)+|c -> D](wscan[a size=5 slide=1], wscan[b size=5 slide=1], wscan[c size=5 slide=1])"),
+]
 
 
-def test_parse_plan_rejects_malformed():
+def test_render_plan_fixed_texts():
+    for plan, text in FIXED_TEXTS:
+        validate_plan(plan)
+        assert render_plan(plan) == text
+
+
+def test_validate_plan_rejects_malformed():
     for bad in [
-        "wscan[a size=24]",
-        "mystery[a]",
-        "union[D]",
-        "pattern[trg1=src9 -> (src1, trg1) D](wscan[a size=5 slide=1])",
-        "path[z+ -> D](wscan[a size=5 slide=1])",
-        "window[size=24 slide=2](wscan[a])",
-        "wscan[a size=0 slide=0]",
-        "wscan[a size=2 slide=5]",
-        "filter[src ~ trg](wscan[a size=5 slide=1])",
-        "wscan[a] trailing",
+        Union((), "D"),
+        Pattern((scan("a", 5),),
+                JoinCondition(((Pos(0, "trg"), Pos(8, "src")),), Pos(0, "src"), Pos(0, "trg")),
+                "D"),
+        Path((scan("a", 5),), parse_regex("z+"), "D"),
+        Wscan("a", 0, 0),
+        Wscan("a", 2, 5),
     ]:
         with pytest.raises(PlanError):
-            parse_plan(bad)
+            validate_plan(bad)
 
 
 def test_alternation_rewrite():
     path = Path((scan("a"), scan("b")), parse_regex("a|b"), "D")
-    assert rewrite_path_alternation(path) == Union((scan("a"), scan("b")), "D")
+    assert Union((scan("a"), scan("b")), "D") in enumerate_plans(path, 1)
     kept = Path((scan("a"),), parse_regex("a+"), "D")
-    assert rewrite_path_alternation(kept) == kept
+    assert enumerate_plans(kept, 1) == {kept}
     mixed = Path((scan("a"), scan("b")), parse_regex("a|b+"), "D")
-    assert rewrite_path_alternation(mixed) == mixed
+    assert enumerate_plans(mixed, 1) == {mixed}
 
 
 def test_concatenation_rewrite_plain_chain():
     path = Path((scan("a"), scan("b")), parse_regex("a.b"), "D")
-    assert rewrite_path_concatenation(path) == chain([scan("a"), scan("b")], "D")
+    assert chain([scan("a"), scan("b")], "D") in enumerate_plans(path, 1)
 
 
 def test_concatenation_rewrite_nullable_part_is_kept():
     path = Path((scan("a"), scan("b")), parse_regex("a.b*"), "D")
-    assert rewrite_path_concatenation(path) == path
+    assert enumerate_plans(path, 1) == {path}
 
 
 def test_concatenation_rewrite_nests_composite_parts():
     path = Path((scan("a"), scan("b"), scan("c")), parse_regex("a.(b|c)"), "D")
-    got = rewrite_path_concatenation(path)
-    assert got == chain(
+    assert chain(
         [scan("a"), Path((scan("b"), scan("c")), parse_regex("b|c"), "$tmp1")], "D"
-    )
+    ) in enumerate_plans(path, 1)
 
 
 def test_enumerate_budget_zero_is_identity():
@@ -134,9 +137,10 @@ def test_enumerate_renders_distinctly():
 
 def test_validate_rejects_inconsistent_trees():
     with pytest.raises(PlanError, match="absent inputs"):
-        parse_plan("path[a+ -> D](wscan[b size=5 slide=1])")
+        validate_plan(Path((scan("b", 5),), parse_regex("a+"), "D"))
     with pytest.raises(PlanError, match="references input"):
-        parse_plan("pattern[-> (src2, trg1) D](wscan[a size=5 slide=1])")
+        validate_plan(
+            Pattern((scan("a", 5),), JoinCondition((), Pos(1, "src"), Pos(0, "trg")), "D"))
 
 
 label_st = st.sampled_from(["a", "b", "c", "RL", "$tmp1"])
@@ -183,11 +187,13 @@ def plans(depth):
 
 
 @settings(max_examples=100, deadline=None)
-@given(plans(3))
-def test_render_parse_round_trip_random(plan):
-    text = render_plan(plan)
-    assert parse_plan(text) == plan
-    assert render_plan(parse_plan(text)) == text
+@given(st.lists(plans(3), min_size=2, max_size=4))
+def test_render_distinguishes_exactly_the_unequal_plans(drawn):
+    for p in drawn:
+        validate_plan(p)
+    for p in drawn:
+        for q in drawn:
+            assert (p == q) == (render_plan(p) == render_plan(q))
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,5 +207,5 @@ def test_enumerate_contains_input_and_dedups(plan, budget):
 @settings(max_examples=60, deadline=None)
 @given(plans(2))
 def test_rewrites_preserve_output_label(plan):
-    for rewrite in (rewrite_path_alternation, rewrite_path_concatenation):
-        assert plan_label(rewrite(plan)) == plan_label(plan)
+    for rewritten in enumerate_plans(plan, 1):
+        assert plan_label(rewritten) == plan_label(plan)

@@ -168,6 +168,21 @@ def test_compiling_anything_but_a_plan_node_is_a_plan_error(plan):
         compile_plan(plan)
 
 
+@pytest.mark.parametrize("plan", [
+    algebra.Filter(algebra.Wscan("a", 10, 1),
+                   (algebra.Comparison("src", "~", ("const", "x")),)),
+    algebra.Filter(algebra.Wscan("a", 10, 1),
+                   (algebra.Comparison("src", "=", ("lit", "x")),)),
+    algebra.Path((algebra.Wscan("a", 10, 1),), "a+", "D"),
+], ids=["filter-op", "filter-rhs-kind", "path-regex-string"])
+def test_compiling_a_malformed_comparison_or_regex_is_a_plan_error(plan):
+    """A comparison operator other than = and !=, an rhs kind other than
+    attr and const, and a path regex that is not a regex tree are all
+    rejected, rather than read as != , as a constant, or crashing."""
+    with pytest.raises(algebra.PlanError):
+        compile_plan(plan)
+
+
 def _physical(pipe):
     """The compiled pipeline as data: per node, its label, stage type,
     scan window, filter predicate and parent's index."""
