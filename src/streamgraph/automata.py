@@ -1,7 +1,8 @@
 """Label regexes and their compilation to minimal DFAs.
 
-Path expressions range over edge labels (multi-character identifiers), so
-concatenation is written with an explicit ``.``:
+A regex is a tree of the node classes below.  render_regex prints it over
+edge labels (multi-character identifiers), so concatenation is written
+with an explicit ``.``, in this grammar:
 
     atom      := label | '(' expr ')'
     postfix   := atom ('*' | '+' | '?')*
@@ -31,10 +32,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-
-class RegexError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -67,74 +64,6 @@ class Opt:
     inner: object
 
 
-def _is_label_char(c: str) -> bool:
-    # "$" admits the reserved derived-label namespace used by plan rewrites.
-    return c.isalnum() or c == "_" or c == "$"
-
-
-def parse_regex(text: str):
-    """Parse a label regex into its AST; raises RegexError on bad input."""
-    pos = 0
-    n = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def peek() -> str:
-        skip_ws()
-        return text[pos] if pos < n else ""
-
-    def parse_expr():
-        parts = [parse_concat()]
-        while peek() == "|":
-            nonlocal pos
-            pos += 1
-            parts.append(parse_concat())
-        return parts[0] if len(parts) == 1 else Alt(tuple(parts))
-
-    def parse_concat():
-        parts = [parse_postfix()]
-        while peek() == ".":
-            nonlocal pos
-            pos += 1
-            parts.append(parse_postfix())
-        return parts[0] if len(parts) == 1 else Concat(tuple(parts))
-
-    def parse_postfix():
-        nonlocal pos
-        node = parse_atom()
-        while peek() in ("*", "+", "?"):
-            op = text[pos]
-            pos += 1
-            node = {"*": Star, "+": Plus, "?": Opt}[op](node)
-        return node
-
-    def parse_atom():
-        nonlocal pos
-        c = peek()
-        if c == "(":
-            pos += 1
-            node = parse_expr()
-            if peek() != ")":
-                raise RegexError(f"unbalanced parenthesis in {text!r}")
-            pos += 1
-            return node
-        if not _is_label_char(c):
-            raise RegexError(f"expected label at position {pos} in {text!r}")
-        start = pos
-        while pos < n and _is_label_char(text[pos]):
-            pos += 1
-        return Sym(text[start:pos])
-
-    node = parse_expr()
-    skip_ws()
-    if pos != n:
-        raise RegexError(f"trailing input at position {pos} in {text!r}")
-    return node
-
-
 def regex_alphabet(node) -> frozenset[str]:
     if isinstance(node, Sym):
         return frozenset((node.label,))
@@ -160,7 +89,8 @@ def nullable(node) -> bool:
 
 
 def render_regex(node) -> str:
-    """Deterministic text form; parse_regex(render_regex(x)) == x."""
+    """Deterministic text form in the module docstring's grammar.  Trees
+    whose Concat and Alt nodes have two parts or more print distinctly."""
     if isinstance(node, Sym):
         return node.label
     if isinstance(node, (Star, Plus, Opt)):

@@ -41,7 +41,7 @@ import pytest
 
 import streamgraph
 from streamgraph import algebra, operators, runtime
-from streamgraph.automata import Alt, Concat, Opt, Plus, Star, Sym, build_dfa, parse_regex
+from streamgraph.automata import Alt, Concat, Opt, Plus, Star, Sym, build_dfa
 from streamgraph.cli import main as cli_main
 from streamgraph.model import EdgeEvent, Interval, StreamTuple, window_interval
 from streamgraph.oracle import answer_pairs, eval_query_at, replay_log, widest_validity
@@ -171,7 +171,7 @@ TRACE_EDGES = [
 
 
 def _trace_tree(upto):
-    st = PathStage(build_dfa(parse_regex("RL+")), "RLP", op_id=1)
+    st = PathStage(build_dfa(Plus(Sym("RL"))), "RLP", op_id=1)
     for i, (s, d, ts, exp) in enumerate(TRACE_EDGES):
         if ts > upto:
             break
@@ -560,7 +560,7 @@ def test_bag_inputs_below_the_root_match_the_oracle(monkeypatch, queries, seed,
 
 # a plan whose two windows purge on different slides (10/5 and 9/3)
 MIXED_SLIDE_PLAN = algebra.Union(
-    (algebra.Path((algebra.Wscan("a", 10, 5),), parse_regex("a+"), "P"),
+    (algebra.Path((algebra.Wscan("a", 10, 5),), Plus(Sym("a")), "P"),
      algebra.Wscan("b", 9, 3)), "D")
 MIXED_SLIDE_TEXT = ("union[D](path[a+ -> P](wscan[a size=10 slide=5]),"
                     " wscan[b size=9 slide=3])")
@@ -665,11 +665,12 @@ def _chain_pair(first, second):
 
 # the plans that CHAIN_REWRITES render
 CHAIN_REWRITE_PLANS = [
-    algebra.Path(tuple(map(_chain_scan, "abc")), parse_regex("(a.b.c)+"), "DP"),
+    algebra.Path(tuple(map(_chain_scan, "abc")),
+                 Plus(Concat((Sym("a"), Sym("b"), Sym("c")))), "DP"),
     algebra.Path((_chain_scan("a"), _chain_pair("b", "c")),
-                 parse_regex("(a.$tmp1)+"), "DP"),
+                 Plus(Concat((Sym("a"), Sym("$tmp1")))), "DP"),
     algebra.Path((_chain_pair("a", "b"), _chain_scan("c")),
-                 parse_regex("($tmp1.c)+"), "DP"),
+                 Plus(Concat((Sym("$tmp1"), Sym("c")))), "DP"),
 ]
 
 

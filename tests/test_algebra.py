@@ -20,7 +20,7 @@ from streamgraph.algebra import (
     validate_plan,
     walk,
 )
-from streamgraph.automata import parse_regex
+from streamgraph.automata import Alt, Concat, Plus, Star, Sym
 from streamgraph.query import parse_query, to_plan
 
 
@@ -33,6 +33,8 @@ def chain(children, label):
     eqs = tuple((Pos(i, "trg"), Pos(i + 1, "src")) for i in range(n - 1))
     return Pattern(tuple(children), JoinCondition(eqs, Pos(0, "src"), Pos(n - 1, "trg")), label)
 
+
+A, B, C = Sym("a"), Sym("b"), Sym("c")
 
 Q4_TEXT = "d(x, y) <- a(x, m), b(m, n), c(n, y)\nAnswer(x, y) <- d+(x, y)"
 
@@ -57,7 +59,7 @@ FIXED_TEXTS = [
      "pattern[trg1=src2 -> (src1, trg2) D](wscan[a size=5 slide=1], wscan[b size=5 slide=1])"),
     (Pattern((scan("a", 5),), JoinCondition((), Pos(0, "trg"), Pos(0, "src")), "D"),
      "pattern[-> (trg1, src1) D](wscan[a size=5 slide=1])"),
-    (Path((scan("a", 5), scan("b", 5), scan("c", 5)), parse_regex("(a.b)+|c"), "D"),
+    (Path((scan("a", 5), scan("b", 5), scan("c", 5)), Alt((Plus(Concat((A, B))), C)), "D"),
      "path[(a.b)+|c -> D](wscan[a size=5 slide=1], wscan[b size=5 slide=1], wscan[c size=5 slide=1])"),
 ]
 
@@ -74,7 +76,7 @@ def test_validate_plan_rejects_malformed():
         Pattern((scan("a", 5),),
                 JoinCondition(((Pos(0, "trg"), Pos(8, "src")),), Pos(0, "src"), Pos(0, "trg")),
                 "D"),
-        Path((scan("a", 5),), parse_regex("z+"), "D"),
+        Path((scan("a", 5),), Plus(Sym("z")), "D"),
         Wscan("a", 0, 0),
         Wscan("a", 2, 5),
     ]:
@@ -83,28 +85,28 @@ def test_validate_plan_rejects_malformed():
 
 
 def test_alternation_rewrite():
-    path = Path((scan("a"), scan("b")), parse_regex("a|b"), "D")
+    path = Path((scan("a"), scan("b")), Alt((A, B)), "D")
     assert Union((scan("a"), scan("b")), "D") in enumerate_plans(path, 1)
-    kept = Path((scan("a"),), parse_regex("a+"), "D")
+    kept = Path((scan("a"),), Plus(A), "D")
     assert enumerate_plans(kept, 1) == {kept}
-    mixed = Path((scan("a"), scan("b")), parse_regex("a|b+"), "D")
+    mixed = Path((scan("a"), scan("b")), Alt((A, Plus(B))), "D")
     assert enumerate_plans(mixed, 1) == {mixed}
 
 
 def test_concatenation_rewrite_plain_chain():
-    path = Path((scan("a"), scan("b")), parse_regex("a.b"), "D")
+    path = Path((scan("a"), scan("b")), Concat((A, B)), "D")
     assert chain([scan("a"), scan("b")], "D") in enumerate_plans(path, 1)
 
 
 def test_concatenation_rewrite_nullable_part_is_kept():
-    path = Path((scan("a"), scan("b")), parse_regex("a.b*"), "D")
+    path = Path((scan("a"), scan("b")), Concat((A, Star(B))), "D")
     assert enumerate_plans(path, 1) == {path}
 
 
 def test_concatenation_rewrite_nests_composite_parts():
-    path = Path((scan("a"), scan("b"), scan("c")), parse_regex("a.(b|c)"), "D")
+    path = Path((scan("a"), scan("b"), scan("c")), Concat((A, Alt((B, C)))), "D")
     assert chain(
-        [scan("a"), Path((scan("b"), scan("c")), parse_regex("b|c"), "$tmp1")], "D"
+        [scan("a"), Path((scan("b"), scan("c")), Alt((B, C)), "$tmp1")], "D"
     ) in enumerate_plans(path, 1)
 
 
@@ -137,7 +139,7 @@ def test_enumerate_renders_distinctly():
 
 def test_validate_rejects_inconsistent_trees():
     with pytest.raises(PlanError, match="absent inputs"):
-        validate_plan(Path((scan("b", 5),), parse_regex("a+"), "D"))
+        validate_plan(Path((scan("b", 5),), Plus(A), "D"))
     with pytest.raises(PlanError, match="references input"):
         validate_plan(
             Pattern((scan("a", 5),), JoinCondition((), Pos(1, "src"), Pos(0, "trg")), "D"))
@@ -159,9 +161,9 @@ def plans(depth):
     def mk_path(kids, label):
         labels = [plan_label(k) for k in kids]
         if len(set(labels)) != len(labels):
-            return Path((kids[0],), parse_regex(f"{plan_label(kids[0])}+"), label)
-        body = ".".join(labels)
-        return Path(tuple(kids), parse_regex(f"({body})+"), label)
+            return Path((kids[0],), Plus(Sym(labels[0])), label)
+        syms = tuple(map(Sym, labels))
+        return Path(tuple(kids), Plus(Concat(syms) if len(syms) > 1 else syms[0]), label)
 
     return st.one_of(
         leaf,

@@ -4,7 +4,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamgraph.automata import (
@@ -13,15 +13,15 @@ from streamgraph.automata import (
     Dfa,
     Opt,
     Plus,
-    RegexError,
     Star,
     Sym,
     build_dfa,
     nullable,
-    parse_regex,
     regex_alphabet,
     render_regex,
 )
+
+A, B, C = Sym("a"), Sym("b"), Sym("c")
 
 
 @functools.lru_cache(maxsize=None)
@@ -74,43 +74,39 @@ def live_states(dfa: Dfa) -> set[int]:
     return seen
 
 
-def test_parse_basics():
-    assert parse_regex("a") == Sym("a")
-    assert parse_regex("a.b") == Concat((Sym("a"), Sym("b")))
-    assert parse_regex("a|b.c") == Alt((Sym("a"), Concat((Sym("b"), Sym("c")))))
-    assert parse_regex("(a|b).c") == Concat((Alt((Sym("a"), Sym("b"))), Sym("c")))
-    assert parse_regex("a+") == Plus(Sym("a"))
-    assert parse_regex("(a.b)*") == Star(Concat((Sym("a"), Sym("b"))))
-    assert parse_regex("knows.likes?") == Concat((Sym("knows"), Opt(Sym("likes"))))
-    assert parse_regex(" a . b ") == Concat((Sym("a"), Sym("b")))
-
-
-def test_parse_errors():
-    for bad in ["", "a.", "(a", "a)", "|a", "a||b", "*", "a b"]:
-        with pytest.raises(RegexError):
-            parse_regex(bad)
-
-
 def test_alphabet_and_nullable():
-    node = parse_regex("a.(b|c)*")
+    node = Concat((A, Star(Alt((B, C)))))
     assert regex_alphabet(node) == {"a", "b", "c"}
     assert not nullable(node)
-    assert nullable(parse_regex("a*"))
-    assert nullable(parse_regex("a?.b*"))
-    assert not nullable(parse_regex("a+"))
-    assert nullable(parse_regex("(a.b)*|c"))
+    assert nullable(Star(A))
+    assert nullable(Concat((Opt(A), Star(B))))
+    assert not nullable(Plus(A))
+    assert nullable(Alt((Star(Concat((A, B))), C)))
 
 
-def test_render_round_trip_examples():
-    for text in ["a", "a.b.c", "(a.b)+", "a|b|c", "(a|b).c+", "a?.b*"]:
-        node = parse_regex(text)
-        assert parse_regex(render_regex(node)) == node
+def test_render_regex_fixed_texts():
+    # Parentheses only where a postfix, Concat or Alt would read otherwise.
+    for node, text in [
+        (A, "a"),
+        (Concat((A, B)), "a.b"),
+        (Alt((A, Concat((B, C)))), "a|b.c"),
+        (Concat((Alt((A, B)), C)), "(a|b).c"),
+        (Plus(A), "a+"),
+        (Star(Concat((A, B))), "(a.b)*"),
+        (Concat((Sym("knows"), Opt(Sym("likes")))), "knows.likes?"),
+        (Concat((A, B, C)), "a.b.c"),
+        (Plus(Concat((A, B))), "(a.b)+"),
+        (Alt((A, B, C)), "a|b|c"),
+        (Concat((Alt((A, B)), Plus(C))), "(a|b).c+"),
+        (Concat((Opt(A), Star(B))), "a?.b*"),
+    ]:
+        assert render_regex(node) == text
 
 
 # Expected values below were computed with the brute-force matcher first.
 
 def test_dfa_single_label_closure():
-    dfa = build_dfa(parse_regex("a+"))
+    dfa = build_dfa(Plus(A))
     assert dfa.start == 0
     assert len(dfa.states) == 2
     assert dfa.accepting == {1}
@@ -119,8 +115,8 @@ def test_dfa_single_label_closure():
 
 
 def test_dfa_star_differs_only_on_empty():
-    plus = build_dfa(parse_regex("a+"))
-    star = build_dfa(parse_regex("a*"))
+    plus = build_dfa(Plus(A))
+    star = build_dfa(Star(A))
     assert star.accepts_empty() and not plus.accepts_empty()
     for w in all_words(["a"], 5):
         if w:
@@ -130,7 +126,7 @@ def test_dfa_star_differs_only_on_empty():
 def test_dfa_three_step_loop_state_count():
     # Residual languages of (a.b.c)+ are pairwise distinct for prefixes
     # "", "a", "ab", "abc": the minimal live-state DFA has 4 states.
-    dfa = build_dfa(parse_regex("(a.b.c)+"))
+    dfa = build_dfa(Plus(Concat((A, B, C))))
     assert len(dfa.states) == 4
     assert dfa.accepting == {3}
     assert dfa.delta_star(0, ("a", "b", "c")) == 3
@@ -139,7 +135,7 @@ def test_dfa_three_step_loop_state_count():
 
 
 def test_dfa_canonical_numbering_is_bfs_from_start():
-    dfa = build_dfa(parse_regex("a.b|a.c"))
+    dfa = build_dfa(Alt((Concat((A, B)), Concat((A, C)))))
     # BFS over sorted labels: 0 -a-> 1, then 1 -b-> 2, 1 -c-> 2 (merged by
     # minimization since both continuations accept exactly the empty rest).
     assert dfa.start == 0
@@ -147,31 +143,41 @@ def test_dfa_canonical_numbering_is_bfs_from_start():
     assert dfa.transitions.get((1, "b")) == dfa.transitions.get((1, "c")) == 2
     assert dfa.accepting == {2}
     # Breadth first, not depth first: 1's successors are numbered before 2's.
-    dfa = build_dfa(parse_regex("a.(c.e|d)|b.f"))
+    dfa = build_dfa(Alt((Concat((A, Alt((Concat((C, Sym("e"))), Sym("d"))))),
+                          Concat((B, Sym("f"))))))
     assert dfa.transitions == {
         (0, "a"): 1, (0, "b"): 2, (1, "c"): 3, (1, "d"): 4, (2, "f"): 4, (3, "e"): 4
     }
 
 
-@pytest.mark.parametrize("text, accepting, transitions", [
-    ("a*", {0}, {(0, "a"): 0}),
-    ("(a.b.c)+", {3}, {(0, "a"): 1, (1, "b"): 2, (2, "c"): 3, (3, "a"): 1}),
-    ("(a.$tmp1)+", {2}, {(0, "a"): 1, (1, "$tmp1"): 2, (2, "a"): 1}),
-    ("($tmp1.c)+", {2}, {(0, "$tmp1"): 1, (1, "c"): 2, (2, "$tmp1"): 1}),
-])
-def test_dfa_state_numbers_are_pinned(text, accepting, transitions):
+PINNED_DFAS = [
+    ("a*", Star(A), {0}, {(0, "a"): 0}),
+    ("(a.b.c)+", Plus(Concat((A, B, C))), {3},
+     {(0, "a"): 1, (1, "b"): 2, (2, "c"): 3, (3, "a"): 1}),
+    ("(a.$tmp1)+", Plus(Concat((A, Sym("$tmp1")))), {2},
+     {(0, "a"): 1, (1, "$tmp1"): 2, (2, "a"): 1}),
+    ("($tmp1.c)+", Plus(Concat((Sym("$tmp1"), C))), {2},
+     {(0, "$tmp1"): 1, (1, "c"): 2, (2, "$tmp1"): 1}),
+]
+
+
+# Each case is named by its text; pytest would name a tree "node0".
+@pytest.mark.parametrize("text, node, accepting, transitions", PINNED_DFAS, ids=[
+    f"{text}-accepting{i}-transitions{i}" for i, (text, *_) in enumerate(PINNED_DFAS)])
+def test_dfa_state_numbers_are_pinned(text, node, accepting, transitions):
     # The automata that catalog and plan-variant runs compile; their state
     # ids enter path origins and the order of relaxation.
-    dfa = build_dfa(parse_regex(text))
+    assert render_regex(node) == text
+    dfa = build_dfa(node)
     assert (dfa.start, dfa.accepting, dfa.transitions) == (0, accepting, transitions)
 
 
 def test_dfa_minimal_beyond_brute_force_reach():
     # The first needs the last 9 letters read: 2^9 distinct residuals.  The
     # mirror counts 0..8 letters (8 also waits for an "a"), then accepts.
-    k8 = ".".join(["(a|b)"] * 8)
-    assert len(build_dfa(parse_regex(f"(a|b)*.a.{k8}")).states) == 512
-    assert len(build_dfa(parse_regex(f"{k8}.a.(a|b)*")).states) == 10
+    ab = Alt((A, B))
+    assert len(build_dfa(Concat((Star(ab), A) + (ab,) * 8)).states) == 512
+    assert len(build_dfa(Concat((ab,) * 8 + (A, Star(ab)))).states) == 10
 
 
 def test_dfa_empty_language():
@@ -242,6 +248,10 @@ def test_language_equal_regexes_compile_to_the_same_dfa(r):
 
 
 @settings(max_examples=80, deadline=None)
-@given(regex_ast)
-def test_render_parse_round_trip(node):
-    assert parse_regex(render_regex(node)) == node
+@given(st.lists(regex_ast, min_size=2, max_size=4))
+@example([Concat((Concat((A, B)), C)), Concat((A, Concat((B, C)))), Concat((A, B, C)),
+          Alt((Alt((A, B)), C)), Alt((A, B, C)), Star(Plus(A)), Plus(Star(A))])
+def test_render_regex_distinguishes_exactly_the_unequal_trees(drawn):
+    for p in drawn:
+        for q in drawn:
+            assert (p == q) == (render_regex(p) == render_regex(q))

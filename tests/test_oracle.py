@@ -7,7 +7,7 @@ own independent checks.
 
 from __future__ import annotations
 
-from streamgraph.automata import build_dfa, parse_regex
+from streamgraph.automata import Plus, Sym, build_dfa
 from streamgraph.model import EdgeEvent, Interval, StreamTuple
 from streamgraph.oracle import (
     answer_pairs,
@@ -120,7 +120,7 @@ def test_rule_union_and_repeated_variables():
 
 
 def test_widest_validity_prefers_the_longer_but_fresher_path():
-    dfa = build_dfa(parse_regex("a+"))
+    dfa = build_dfa(Plus(Sym("a")))
     edges = [
         ("r", "x", "a", 10.0),
         ("x", "y", "a", 5.0),
@@ -135,7 +135,7 @@ def test_widest_validity_prefers_the_longer_but_fresher_path():
 
 
 def test_widest_validity_handles_cycles():
-    dfa = build_dfa(parse_regex("a+"))
+    dfa = build_dfa(Plus(Sym("a")))
     accepting = next(iter(dfa.accepting))
     edges = [
         ("r", "x", "a", 8.0),

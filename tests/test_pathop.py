@@ -13,7 +13,7 @@ import zlib
 
 import pytest
 
-from streamgraph.automata import build_dfa, parse_regex
+from streamgraph.automata import Alt, Concat, Plus, Star, Sym, build_dfa, render_regex
 from streamgraph.model import Interval, StreamTuple, window_interval
 from streamgraph.operators import CoalesceStage
 from streamgraph.oracle import widest_validity
@@ -30,8 +30,11 @@ def sgt(src, trg, label, ts, exp, origin, sign=1, payload=None):
     return StreamTuple(src, trg, label, Interval(ts, exp), payload, sign, origin=origin)
 
 
-def stage(regex="RL+", label="RLP", payload="derived", at_root=False):
-    return PathStage(build_dfa(parse_regex(regex)), label, op_id=1, payload=payload,
+A, B, C = Sym("a"), Sym("b"), Sym("c")
+
+
+def stage(regex=Plus(Sym("RL")), label="RLP", payload="derived", at_root=False):
+    return PathStage(build_dfa(regex), label, op_id=1, payload=payload,
                      at_root=at_root)
 
 
@@ -120,13 +123,13 @@ def test_unknown_payload_mode_rejected():
 
 
 def test_empty_path_never_emitted():
-    st = stage("a*", "P")
+    st = stage(Star(A), "P")
     out = st.on_tuple(0, sgt("x", "y", "a", 0, 9, 1), 0)
     assert {(t.src, t.trg) for t in out} == {("x", "y")}
 
 
 def test_labels_outside_alphabet_are_ignored():
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     assert st.on_tuple(0, sgt("x", "y", "zzz", 0, 9, 1), 0) == []
     assert st.adj == {}
 
@@ -135,7 +138,7 @@ def test_labels_outside_alphabet_are_ignored():
 
 
 def test_deleting_non_tree_edge_changes_nothing():
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     st.on_tuple(0, sgt("r", "a", "a", 0, 30, 1), 0)
     st.on_tuple(0, sgt("a", "b", "a", 0, 20, 2), 0)
     st.on_tuple(0, sgt("r", "b", "a", 0, 10, 3), 0)  # narrower, not a tree edge
@@ -145,7 +148,7 @@ def test_deleting_non_tree_edge_changes_nothing():
 
 
 def test_deleting_tree_edge_reattaches_on_widest_alternative():
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     st.on_tuple(0, sgt("r", "a", "a", 0, 30, 1), 0)
     st.on_tuple(0, sgt("a", "b", "a", 0, 20, 2), 0)
     st.on_tuple(0, sgt("r", "b", "a", 0, 10, 3), 0)
@@ -161,7 +164,7 @@ def test_deleting_tree_edge_reattaches_on_widest_alternative():
 
 
 def test_deleting_last_witness_retracts_the_result():
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     st.on_tuple(0, sgt("r", "a", "a", 0, 30, 1), 0)
     st.on_tuple(0, sgt("a", "b", "a", 0, 20, 2), 0)
     out = st.on_tuple(0, sgt("a", "b", "a", 0, 20, 2, sign=-1), 5)
@@ -173,7 +176,7 @@ def test_deleting_last_witness_retracts_the_result():
 
 
 def test_delete_cascades_through_severed_subtree():
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     st.on_tuple(0, sgt("r", "a", "a", 0, 30, 1), 0)
     st.on_tuple(0, sgt("a", "b", "a", 0, 30, 2), 0)
     st.on_tuple(0, sgt("b", "c", "a", 0, 30, 3), 0)
@@ -187,7 +190,7 @@ def _net_payloads(outs):
 
 
 def test_repair_reemits_a_result_whose_witness_moved_on_the_same_interval():
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     outs = []
     for o, (s, d) in enumerate([("r", "a"), ("a", "b"), ("r", "x"), ("x", "b")]):
         outs += st.on_tuple(0, sgt(s, d, "a", 0, 20, o), 0)
@@ -199,7 +202,7 @@ def test_repair_reemits_a_result_whose_witness_moved_on_the_same_interval():
 def test_repair_reemits_results_below_a_moved_witness():
     """(c,1) keeps its parent, edge and interval, but its witness ran
     through the deleted edge too."""
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     outs = []
     for o, (s, d) in enumerate([("r", "a"), ("a", "b"), ("b", "c"), ("r", "x"),
                                 ("x", "b")]):
@@ -213,7 +216,7 @@ def test_reparenting_reemits_results_below_the_moved_node():
     """(s,1) keeps its interval, capped by its own edge, when (u,1)
     moves under r; its witness moved with it, so once z->u is deleted
     the net result no longer runs through it."""
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     outs = []
     for o, (s, d, exp) in enumerate([("r", "z", 10), ("z", "u", 20), ("u", "s", 5),
                                      ("r", "u", 15)]):
@@ -225,7 +228,7 @@ def test_reparenting_reemits_results_below_the_moved_node():
 def test_repair_keeps_the_first_witness_offered_on_equal_expiry():
     """(b,1) regrows over a->b and c->b, both of expiry 20: the edge
     offered first, from the node that entered the tree first, wins."""
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     st.on_tuple(0, sgt("r", "b", "a", 0, 25, 1), 0)   # tree edge, widest
     st.on_tuple(0, sgt("r", "a", "a", 2, 20, 2), 2)
     st.on_tuple(0, sgt("r", "c", "a", 3, 20, 3), 3)
@@ -238,7 +241,7 @@ def test_repair_keeps_the_first_witness_offered_on_equal_expiry():
 
 
 def test_deleting_an_edge_shared_by_several_trees_repairs_each():
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     st.on_tuple(0, sgt("r", "a", "a", 0, 30, 1), 0)
     st.on_tuple(0, sgt("q", "a", "a", 0, 30, 2), 0)
     st.on_tuple(0, sgt("a", "b", "a", 0, 25, 3), 0)  # tree edge of r, q and a
@@ -263,14 +266,14 @@ def test_deleting_an_edge_shared_by_several_trees_repairs_each():
 
 
 def test_deleting_unknown_edge_warns_and_is_noop(caplog):
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     with caplog.at_level("WARNING"):
         assert st.on_tuple(0, sgt("r", "a", "a", 0, 30, 7, sign=-1), 0) == []
     assert "ignored" in caplog.text
 
 
 def test_deleting_an_unwindowed_edge_leaves_no_empty_bucket():
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     st.on_tuple(0, sgt("x", "y", "a", 0, INF, origin=1), 0)
     st.on_tuple(0, sgt("x", "y", "a", 1, INF, origin=1, sign=-1), 1)
     st.on_watermark(10 ** 9)
@@ -280,8 +283,8 @@ def test_deleting_an_unwindowed_edge_leaves_no_empty_bucket():
 
 
 def test_insert_then_delete_equals_never_inserted():
-    a = stage("(a.b)+", "P")
-    b = stage("(a.b)+", "P")
+    a = stage(Plus(Concat((A, B))), "P")
+    b = stage(Plus(Concat((A, B))), "P")
     ops = [sgt("r", "u", "a", 0, 30, 1), sgt("u", "v", "b", 1, 25, 2),
            sgt("v", "w", "a", 2, 28, 3), sgt("w", "q", "b", 3, 26, 4)]
     extra = sgt("u", "q", "b", 1, 27, 9)
@@ -317,7 +320,7 @@ def test_a_positive_under_a_held_origin_replaces_that_edge(payload, new):
     base = [sgt("x", "y", "a", 0, 20, 0), sgt("y", "z", "a", 1, 15, 2),
             sgt("z", "w", "a", 0, 25, 3)]
     old = sgt("y", "z", "a", 0, 30, 1, payload=(("y", "old", "z"),))
-    st, fresh = stage("a+", "P", payload), stage("a+", "P", payload)
+    st, fresh = stage(Plus(A), "P", payload), stage(Plus(A), "P", payload)
     outs = []
     for t in [old] + base + [new]:
         outs += st.on_tuple(0, t, 2)
@@ -334,7 +337,7 @@ def test_a_held_origin_replacement_regrows_its_results_without_retracting_them()
     the new one.  The results that the deletion retracts and the
     insertion regrows are only re-emitted, under their origins, which
     replaces them downstream; a plain deletion still retracts them."""
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     for t in (sgt("x", "y", "a", 0, 30, 1), sgt("y", "z", "a", 0, 30, 2)):
         st.on_tuple(0, t, 0)
     out = st.on_tuple(0, sgt("x", "y", "a", 0, 20, 1), 1)
@@ -356,7 +359,7 @@ def test_a_held_origin_replacement_at_the_root_continues_the_lines():
     """The results that the replacement's deletion retracts and its
     insertion regrows continue their lines: same origins, earlier starts
     kept, no ``-``."""
-    st = stage("a+", "P", at_root=True)
+    st = stage(Plus(A), "P", at_root=True)
     first = st.on_tuple(0, sgt("x", "y", "a", 0, 30, 1), 0)
     first += st.on_tuple(0, sgt("y", "z", "a", 0, 30, 2), 0)
     origin = {(t.src, t.trg): t.origin for t in first}
@@ -369,7 +372,7 @@ def test_a_reparent_onto_a_parallel_edge_writes_no_line_in_derived_mode():
     """In derived mode a parallel edge gives the same payload, so a
     result regrown over it with the same interval changes nothing: the
     root writes no line, where a path below the root re-emits it."""
-    below, root = stage("a+", "P"), stage("a+", "P", at_root=True)
+    below, root = stage(Plus(A), "P"), stage(Plus(A), "P", at_root=True)
     for st in (below, root):
         st.on_tuple(0, sgt("x", "y", "a", 0, 20, 1), 0)
         st.on_tuple(0, sgt("x", "y", "a", 1, 20, 2), 1)
@@ -380,7 +383,7 @@ def test_a_reparent_onto_a_parallel_edge_writes_no_line_in_derived_mode():
 
 
 def _regrown_on_a_later_parallel_edge():
-    st = stage("a+", "P", at_root=True)
+    st = stage(Plus(A), "P", at_root=True)
     [line] = st.on_tuple(0, sgt("x", "y", "a", 0, 20, 1), 0)
     st.on_tuple(0, sgt("x", "y", "a", 5, 15, 2), 5)
     out = st.on_tuple(0, sgt("x", "y", "a", 6, 20, 1, sign=-1), 6)
@@ -407,7 +410,7 @@ def test_a_retraction_at_the_root_equals_the_live_line():
 def test_a_keys_second_run_gets_a_fresh_origin():
     """A run that ends by expiry and a later run of the same key are two
     lines under two origins, so a replay by origin keeps both."""
-    st = stage("a+", "P", at_root=True)
+    st = stage(Plus(A), "P", at_root=True)
     first = st.on_tuple(0, sgt("x", "y", "a", 0, 10, 1), 0)
     st.on_watermark(10)
     second = st.on_tuple(0, sgt("x", "y", "a", 12, 22, 2), 12)
@@ -447,14 +450,16 @@ def _churn(seed, size, slide, payload, ops=600, vertices=7):
 
 @pytest.mark.parametrize("payload", ["derived", "expanded"])
 @pytest.mark.parametrize("window", [(40, 5), (7, 3)], ids=["40-5", "7-3"])
-@pytest.mark.parametrize("regex", ["a+", "(a.b)+", "(a|b)+", "(a.a.b)+"])
+@pytest.mark.parametrize("regex", [
+    Plus(A), Plus(Concat((A, B))), Plus(Alt((A, B))), Plus(Concat((A, A, B))),
+], ids=render_regex)
 def test_a_root_path_writes_what_a_coalesce_above_a_path_writes(regex, window, payload):
     """Differential: over deletion-heavy streams with held-origin
     replacements, a root path writes exactly the lines that a path below
     the root followed by a Coalesce writes, and its origins map one to
     one onto the Coalesce's, so a replay by origin agrees too.  In
     (a.a.b)+, label a leads to two states."""
-    dfa = build_dfa(parse_regex(regex))
+    dfa = build_dfa(regex)
     retracted = suppressed = 0
     for seed in range(4):
         below = PathStage(dfa, "P", 1, payload)
@@ -484,7 +489,7 @@ def test_a_root_path_writes_what_a_coalesce_above_a_path_writes(regex, window, p
 
 
 def test_expired_nodes_are_treated_as_absent_and_rebuilt():
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     st.on_tuple(0, sgt("r", "a", "a", 0, 10, 1), 0)
     st.on_tuple(0, sgt("a", "b", "a", 0, 10, 2), 0)
     # the purge at 10 drops both trees and both edges; only the new tree
@@ -500,7 +505,7 @@ def test_expired_nodes_are_treated_as_absent_and_rebuilt():
 
 
 def test_purge_removes_only_ended_state():
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     st.on_tuple(0, sgt("r", "a", "a", 0, 10, 1), 0)
     st.on_tuple(0, sgt("r", "b", "a", 0, 20, 2), 0)
     st.on_watermark(10)
@@ -511,7 +516,7 @@ def test_purge_removes_only_ended_state():
 
 
 def test_purge_is_silent_and_idempotent():
-    st = stage("a+", "P")
+    st = stage(Plus(A), "P")
     st.on_tuple(0, sgt("r", "a", "a", 0, 10, 1), 0)
     st.on_watermark(10)
     st.on_watermark(10)
@@ -559,7 +564,7 @@ def test_reparenting_refreshes_cached_payloads_below():
 
 
 def test_repair_refreshes_cached_payloads_below():
-    st = stage("a+", "P", payload="expanded")
+    st = stage(Plus(A), "P", payload="expanded")
     for o, (s, d, exp) in enumerate([("r", "a", 30), ("a", "b", 25), ("b", "c", 25),
                                      ("r", "x", 20), ("x", "b", 20)]):
         st.on_tuple(0, sgt(s, d, "a", 0, exp, o, payload=((f"p{o}", "e", "q"),)), 0)
@@ -571,12 +576,13 @@ def test_repair_refreshes_cached_payloads_below():
 
 
 @pytest.mark.parametrize("payload", ["derived", "expanded"])
-@pytest.mark.parametrize("regex", ["a+", "(a.b)+", "(a|b)+"])
+@pytest.mark.parametrize("regex", [Plus(A), Plus(Concat((A, B))), Plus(Alt((A, B)))],
+                         ids=render_regex)
 def test_cached_payloads_match_parent_chain_walk(regex, payload):
     """Seeded insert/delete streams whose edges expire at varied
     instants, with a watermark before every operation."""
     for trial in range(6):
-        rng = random.Random(100 * trial + zlib.crc32(regex.encode()) % 100)
+        rng = random.Random(100 * trial + zlib.crc32(render_regex(regex).encode()) % 100)
         st = stage(regex, "P", payload=payload)
         verts = [f"n{i}" for i in range(rng.randint(3, 6))]
         live, now = {}, 0
@@ -618,12 +624,14 @@ def _oracle_state(live, dfa, trees, now):
 
 
 @pytest.mark.parametrize(
-    "regex", ["a+", "(a.b)+", "(a.b.c)+", "(a|b)+", "(a.(b|c))+"]
+    "regex", [Plus(A), Plus(Concat((A, B))), Plus(Concat((A, B, C))), Plus(Alt((A, B))),
+              Plus(Concat((A, Alt((B, C)))))],
+    ids=render_regex,
 )
 def test_random_ops_preserve_widest_validity_invariant(regex):
-    dfa = build_dfa(parse_regex(regex))
+    dfa = build_dfa(regex)
     for trial in range(8):
-        rng = random.Random(1000 * trial + zlib.crc32(regex.encode()) % 1000)
+        rng = random.Random(1000 * trial + zlib.crc32(render_regex(regex).encode()) % 1000)
         st = PathStage(dfa, "P", 1)
         verts = [f"n{i}" for i in range(rng.randint(3, 8))]
         live, emitted, now = {}, {}, 0

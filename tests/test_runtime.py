@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from streamgraph import algebra
-from streamgraph.automata import build_dfa, parse_regex
+from streamgraph.automata import Alt, Concat, Sym, build_dfa
 from streamgraph.model import EdgeEvent, Interval, StreamTuple
 from streamgraph.operators import CoalesceStage, eval_predicate
 from streamgraph.pathop import PathStage
@@ -154,7 +154,7 @@ def test_a_root_path_with_several_accepting_states_keeps_the_coalesce():
     """Two accepting states can give one key twice, under two origins:
     only a Coalesce restores set semantics there."""
     plan = algebra.Path((algebra.Wscan("a", 10, 2), algebra.Wscan("b", 10, 2)),
-                        parse_regex("a|a.b"), "P")
+                        Alt((Sym("a"), Concat((Sym("a"), Sym("b"))))), "P")
     assert len(build_dfa(plan.regex).accepting) == 2
     pipe = compile_plan(plan)
     assert [n.label for n in pipe.nodes[:3]] == ["sink", "coalesce P", "path P"]
