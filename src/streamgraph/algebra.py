@@ -145,8 +145,8 @@ def _with_children(node: PlanNode, kids: tuple[PlanNode, ...]) -> PlanNode:
 
 def validate_plan(node: PlanNode) -> None:
     """Reject trees whose conditions or regexes reference missing inputs,
-    malformed filter comparisons or regexes, and anything that is not a
-    plan node."""
+    malformed filter comparisons, windows or regexes, and anything that is
+    not a plan node."""
     if not isinstance(node, PlanNode):
         raise PlanError(f"not a plan node: {type(node).__name__}")
     kids = children_of(node)
@@ -164,7 +164,7 @@ def validate_plan(node: PlanNode) -> None:
                 raise PlanError(f"output references input {p.atom + 1} of {n}")
     elif isinstance(node, Path):
         if not _is_regex(node.regex):
-            raise PlanError(f"path regex is not a regex tree: {node.regex!r}")
+            raise PlanError(f"malformed path regex: {node.regex!r}")
         have = {plan_label(c) for c in kids}
         used = regex_alphabet(node.regex)
         if not used:
@@ -183,16 +183,23 @@ def validate_plan(node: PlanNode) -> None:
             for a in names:
                 if a not in ("src", "trg", "label"):
                     raise PlanError(f"filter references unknown attribute {a!r}")
-    elif isinstance(node, Wscan) and node.size is not None:
+    elif isinstance(node, Wscan) and node.size is None:
+        if node.slide != 1:
+            raise PlanError(f"an unwindowed scan has no slide, got {node.slide!r}")
+    elif isinstance(node, Wscan):
+        if type(node.size) is not int or type(node.slide) is not int:
+            raise PlanError(f"window size and slide must be ints: {node!r}")
         if node.size < node.slide or node.slide < 1:
             raise PlanError("window size must be >= slide >= 1")
 
 
 def _is_regex(rx) -> bool:
+    """A regex tree that render_regex prints apart from every other: each
+    Concat and Alt has two parts or more."""
     if isinstance(rx, Sym):
         return True
     if isinstance(rx, (Concat, Alt)):
-        return all(_is_regex(p) for p in rx.parts)
+        return len(rx.parts) >= 2 and all(_is_regex(p) for p in rx.parts)
     return isinstance(rx, (Star, Plus, Opt)) and _is_regex(rx.inner)
 
 

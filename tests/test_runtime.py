@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from streamgraph import algebra
-from streamgraph.automata import Alt, Concat, Sym, build_dfa
+from streamgraph.automata import Alt, Concat, Plus, Sym, build_dfa
 from streamgraph.model import EdgeEvent, Interval, StreamTuple
 from streamgraph.operators import CoalesceStage, eval_predicate
 from streamgraph.pathop import PathStage
@@ -174,11 +174,24 @@ def test_compiling_anything_but_a_plan_node_is_a_plan_error(plan):
     algebra.Filter(algebra.Wscan("a", 10, 1),
                    (algebra.Comparison("src", "=", ("lit", "x")),)),
     algebra.Path((algebra.Wscan("a", 10, 1),), "a+", "D"),
-], ids=["filter-op", "filter-rhs-kind", "path-regex-string"])
+    algebra.Wscan("a", None, 5),
+    algebra.Wscan("a", True, True),
+    algebra.Wscan("a", 10.0, 5),
+    algebra.Path((algebra.Wscan("a", 10.5, 1),), Plus(Sym("a")), "P"),
+    algebra.Path((algebra.Wscan("a", 10, 2.5),), Plus(Sym("a")), "P"),
+    algebra.Path((algebra.Wscan("a", 10, 1),), Concat((Sym("a"),)), "P"),
+    algebra.Path((algebra.Wscan("a", 10, 1),), Alt((Sym("a"),)), "P"),
+], ids=["filter-op", "filter-rhs-kind", "path-regex-string", "unwindowed-slide",
+        "bool-window", "float-size", "float-size-below-path", "float-slide-below-path",
+        "one-part-concat", "one-part-alt"])
 def test_compiling_a_malformed_comparison_or_regex_is_a_plan_error(plan):
     """A comparison operator other than = and !=, an rhs kind other than
     attr and const, and a path regex that is not a regex tree are all
-    rejected, rather than read as != , as a constant, or crashing."""
+    rejected, rather than read as != , as a constant, or crashing.  So
+    are plans that would render like a different plan: a slide without
+    a window, a window size or slide that is not an int (a bool prints
+    as True, a float as 10.0, and neither divides a gcd), and a one-part
+    Concat or Alt, which prints as its part."""
     with pytest.raises(algebra.PlanError):
         compile_plan(plan)
 
