@@ -76,6 +76,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    if args.rewrites < 0:
+        raise ValueError(f"--rewrites must be >= 0, got {args.rewrites}")
     plan = to_plan(_load_query(args))
     print(algebra.format_plan(plan))
     if args.rewrites:

@@ -121,6 +121,13 @@ def test_plan_rewrites_enumerates_the_chain_family(tmp_path, capsys):
     assert "path[($tmp1.c)+ -> DP](pattern[" in out
 
 
+def test_plan_rejects_a_negative_rewrite_budget(tmp_path, capsys):
+    qf = fixture(tmp_path, "q4.sgq", Q4_QUERY)
+    assert cli.main(["plan", "--query", qf, "--rewrites", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --rewrites must be >= 0, got -1\n"
+
+
 def test_check_passes_on_the_example(tmp_path, capsys):
     qf, sf = notify_args(tmp_path)
     assert cli.main(["check", "--query", qf, "--input", sf]) == 0
